@@ -720,141 +720,68 @@ let fuzz_ds ds =
         pair_gen ~push:Seqds.Stack_ds.op_push ~pop:Seqds.Stack_ds.op_pop )
   | other -> Error (Printf.sprintf "unknown data structure %S" other)
 
-(* Sharded fuzzing drives [Prep.Sharded_uc] (hash-routed shards + 2PC), so
-   the workload must be a map (single-key ops route on their key) and the
-   mode is necessarily Durable. The per-shard protocol knobs of the flat
-   fuzzer (flit, dist-rw, ...) are not plumbed through the sharded checker. *)
-let fuzz_sharded ~iters ~ds ~threads ~epsilon ~log_size ~ops ~seed ~fault
-    ~crash_op ~crash_time ~no_crash ~bg_period ~nshards ~multi_pct ~cross_pct
-    ~jobs =
-  match (parse_fault fault, fuzz_ds ds) with
-  | Error m, _ | _, Error m -> `Error (true, m)
-  | Ok fault_v, Ok ((module Ds), _) ->
-    if not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) then
-      `Error (true, "--shards needs a map data structure (ops route by key)")
-    else if multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100
-    then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
-    else begin
-      let module FS = Check.Fuzz_shard.Make (Ds) in
-      if threads < 1 || threads > FS.max_threads then
-        `Error
-          ( true,
-            Printf.sprintf "--threads must be between 1 and %d (got %d)"
-              FS.max_threads threads )
-      else begin
-        let gen_op =
-          let w =
-            Workload.map_workload_sharded ~read_pct:20 ~multi_pct ~cross_pct
-              ~nshards ~key_range:128 ~prefill_n:0
-          in
-          fun rng -> w.Workload.next rng ~phase:0
-        in
-        let template =
-          {
-            Check.Fuzz.workload_seed = seed;
-            threads;
-            epsilon;
-            log_size;
-            ops_per_worker = ops;
-            bg_period;
-            preempt_prob = 0.02;
-            crash = Check.Fuzz.No_crash;
-          }
-        in
-        let replay =
-          match (crash_op, crash_time, no_crash) with
-          | Some n, _, _ -> Some (Check.Fuzz.At_op n)
-          | None, Some ns, _ -> Some (Check.Fuzz.At_time ns)
-          | None, None, true -> Some Check.Fuzz.No_crash
-          | None, None, false -> None
-        in
-        match replay with
-        | Some crash ->
-          let ep = { template with crash } in
-          let out = FS.run_episode ~nshards ~fault:fault_v ~gen_op ep in
-          Printf.printf
-            "episode %s: crashed=%b logged=%d completed=%d applied=%d\n"
-            (Fmt.str "%a" Check.Fuzz.pp_episode ep)
-            out.Check.Fuzz.crashed out.Check.Fuzz.logged
-            out.Check.Fuzz.completed out.Check.Fuzz.applied;
-          if out.Check.Fuzz.violations = [] then begin
-            print_endline "no violations";
-            `Ok ()
-          end
-          else begin
-            List.iter
-              (fun v ->
-                Printf.printf "VIOLATION: %s\n"
-                  (Check.Durable_lin.violation_to_string v))
-              out.Check.Fuzz.violations;
-            `Error (false, "durable-linearizability violations found")
-          end
-        | None ->
-          let res =
-            FS.fuzz ~nshards ~fault:fault_v ~gen_op ~template ~iters
-              ~log:print_endline
-              ~runner:(Campaign.run ~j:jobs)
-              ()
-          in
-          Printf.printf "%d episodes (%d crashed), %d failing\n"
-            res.Check.Fuzz.episodes res.Check.Fuzz.crashes
-            (List.length res.Check.Fuzz.failures);
-          (match res.Check.Fuzz.failures with
-           | [] -> `Ok ()
-           | first :: _ ->
-             print_endline "shrinking first failure...";
-             let small =
-               FS.shrink ~nshards ~fault:fault_v ~gen_op
-                 first.Check.Fuzz.episode
-             in
-             Printf.printf "shrunk to: %s\nreplay with:\n  %s\n"
-               (Fmt.str "%a" Check.Fuzz.pp_episode small)
-               (Check.Fuzz_shard.repro_command ~nshards ~multi_pct ~cross_pct
-                  ~fault:fault_v ~ds small);
-             `Error (false, "durable-linearizability violations found"))
-      end
-    end
+let parse_variant = function
+  | "volatile" -> Ok Prep.Config.Volatile
+  | "buffered" -> Ok Prep.Config.Buffered
+  | "durable" -> Ok Prep.Config.Durable
+  | other -> Error (Printf.sprintf "unknown variant %S" other)
 
+let is_map ds = List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]
+
+let layer_flag_list =
+  "--flit/--dist-rw/--log-mirror/--slot-bitmap/--detect/--lsm-ckpt"
+
+let report_violations violations =
+  if violations = [] then begin
+    print_endline "no violations";
+    `Ok ()
+  end
+  else begin
+    List.iter
+      (fun v ->
+        Printf.printf "VIOLATION: %s\n"
+          (Check.Durable_lin.violation_to_string v))
+      violations;
+    `Error (false, "durable-linearizability violations found")
+  end
+
+(* Sharded fuzzing drives [Prep.Sharded_uc], so the workload must be a map
+   (single-key ops route on their key) and the mode is necessarily
+   Durable; the per-shard protocol layers (flit, dist-rw, ...) are not
+   plumbed through the router. *)
 let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
     crash_time no_crash bg_period flit dist_rw log_mirror slot_bitmap detect
     lsm_ckpt nshards multi_pct cross_pct persist_policy jobs =
-  if nshards > 1 then begin
-    if persist_policy <> None then
-      `Error (true, "--persist-policy is not supported with --shards")
-    else if variant <> "durable" then
-      `Error (true, "--shards requires --variant durable (sharding is durable-only)")
-    else if flit || dist_rw || log_mirror || slot_bitmap || detect || lsm_ckpt
-    then
-      `Error
-        ( true,
-          "--flit/--dist-rw/--log-mirror/--slot-bitmap/--detect/--lsm-ckpt \
-           are not supported with --shards" )
-    else
-      fuzz_sharded ~iters ~ds ~threads ~epsilon ~log_size ~ops ~seed ~fault
-        ~crash_op ~crash_time ~no_crash ~bg_period ~nshards ~multi_pct
-        ~cross_pct ~jobs
-  end
+  let sharded = nshards > 1 in
+  let layered =
+    flit || dist_rw || log_mirror || slot_bitmap || detect || lsm_ckpt
+  in
+  if sharded && persist_policy <> None then
+    `Error (true, "--persist-policy is not supported with --shards")
+  else if sharded && variant <> "durable" then
+    `Error (true, "--shards requires --variant durable (sharding is durable-only)")
+  else if sharded && layered then
+    `Error (true, layer_flag_list ^ " are not supported with --shards")
   else if nshards < 1 then `Error (true, "--shards must be at least 1")
   else
-  match parse_policy persist_policy with
-  | Error m -> `Error (true, m)
-  | Ok persist_policy ->
-  let variant_v =
-    match variant with
-    | "volatile" -> Ok Prep.Config.Volatile
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
-    | other -> Error (Printf.sprintf "unknown variant %S" other)
-  in
-  match (variant_v, parse_fault fault, fuzz_ds ds) with
-  | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (true, m)
-  | Ok mode, Ok fault, Ok ((module Ds), gen_op) ->
-    let module F = Check.Fuzz.Make (Ds) in
-    if threads < 1 || threads > F.max_threads then
+  match
+    (parse_policy persist_policy, parse_variant variant, parse_fault fault,
+     fuzz_ds ds)
+  with
+  | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _ | _, _, _, Error m ->
+    `Error (true, m)
+  | Ok persist_policy, Ok mode, Ok fault, Ok ((module Ds), flat_gen) ->
+    if sharded && not (is_map ds) then
+      `Error (true, "--shards needs a map data structure (ops route by key)")
+    else if
+      sharded
+      && (multi_pct < 0 || multi_pct > 100 || cross_pct < 0 || cross_pct > 100)
+    then `Error (true, "--multi-pct/--cross-pct must be in 0..100")
+    else if threads < 1 || threads > Check.Fuzz.max_threads then
       `Error
         ( true,
           Printf.sprintf "--threads must be between 1 and %d (got %d)"
-            F.max_threads threads )
+            Check.Fuzz.max_threads threads )
     else if
       mode = Prep.Config.Volatile && (crash_op <> None || crash_time <> None)
     then
@@ -865,19 +792,32 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
       `Error (true, "--fault response-before-log-persist requires --detect")
     else if lsm_ckpt && mode = Prep.Config.Volatile then
       `Error (true, "--lsm-ckpt requires --variant buffered or durable")
-    else if lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ])
-    then
+    else if lsm_ckpt && not (is_map ds) then
       `Error
         (true, "--lsm-ckpt needs a map data structure (per-key dirty tracking)")
     else if fault = Prep.Config.Manifest_before_segment_seal && not lsm_ckpt
     then `Error (true, "--fault manifest-before-seal requires --lsm-ckpt")
     else
+    let cfg =
+      Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
+        ~slot_bitmap ~detect ~lsm_ckpt ?persist_policy ~shards:nshards ~fault
+        ~workers:threads ()
+    in
+    let module F = Check.Fuzz.Make ((val Check.Sut.of_config (module Ds) cfg))
+    in
+    let gen_op, mix =
+      if sharded then
+        let w =
+          Workload.map_workload_sharded ~read_pct:20 ~multi_pct ~cross_pct
+            ~nshards ~key_range:128 ~prefill_n:0
+        in
+        ((fun rng -> w.Workload.next rng ~phase:0), Some (multi_pct, cross_pct))
+      else (flat_gen, None)
+    in
     let template =
       {
         Check.Fuzz.workload_seed = seed;
         threads;
-        epsilon;
-        log_size;
         ops_per_worker = ops;
         bg_period;
         preempt_prob = 0.02;
@@ -895,32 +835,17 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
      | Some crash ->
        (* replay a single, fully specified episode (shrunk repro) *)
        let ep = { template with crash } in
-       let out =
-         F.run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-           ~lsm_ckpt ?persist_policy ~mode ~fault ~gen_op ep
-       in
+       let out = F.run_episode cfg ~gen_op ep in
        Printf.printf
          "episode %s: crashed=%b logged=%d completed=%d applied=%d\n"
-         (Fmt.str "%a" Check.Fuzz.pp_episode ep)
+         (Fmt.str "%a" (Check.Fuzz.pp_episode cfg) ep)
          out.Check.Fuzz.crashed out.Check.Fuzz.logged out.Check.Fuzz.completed
          out.Check.Fuzz.applied;
-       if out.Check.Fuzz.violations = [] then begin
-         print_endline "no violations";
-         `Ok ()
-       end
-       else begin
-         List.iter
-           (fun v ->
-             Printf.printf "VIOLATION: %s\n"
-               (Check.Durable_lin.violation_to_string v))
-           out.Check.Fuzz.violations;
-         `Error (false, "durable-linearizability violations found")
-       end
+       report_violations out.Check.Fuzz.violations
      | None ->
        let res =
-         F.fuzz ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-           ?persist_policy ~mode ~fault ~gen_op ~template ~iters
-           ~log:print_endline ~runner:(Campaign.run ~j:jobs) ()
+         F.fuzz cfg ~gen_op ~template ~iters ~log:print_endline
+           ~runner:(Campaign.run ~j:jobs) ()
        in
        Printf.printf "%d episodes (%d crashed), %d failing\n"
          res.Check.Fuzz.episodes res.Check.Fuzz.crashes
@@ -929,15 +854,10 @@ let fuzz iters variant ds threads epsilon log_size ops seed fault crash_op
         | [] -> `Ok ()
         | first :: _ ->
           print_endline "shrinking first failure...";
-          let small =
-            F.shrink ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-              ~lsm_ckpt ?persist_policy ~mode ~fault ~gen_op
-              first.Check.Fuzz.episode
-          in
+          let small = F.shrink cfg ~gen_op first.Check.Fuzz.episode in
           Printf.printf "shrunk to: %s\nreplay with:\n  %s\n"
-            (Fmt.str "%a" Check.Fuzz.pp_episode small)
-            (Check.Fuzz.repro_command ~flit ~dist_rw ~log_mirror ~slot_bitmap
-               ~detect ~lsm_ckpt ?persist_policy ~mode ~fault ~ds small);
+            (Fmt.str "%a" (Check.Fuzz.pp_episode cfg) small)
+            (Check.Repro.fuzz ~ds ?mix cfg small);
           `Error (false, "durable-linearizability violations found")))
 
 let fuzz_cmd =
@@ -1043,8 +963,6 @@ let no_persistence_arg =
   in
   Arg.(value & flag & info [ "no-persistence" ] ~doc)
 
-(* Shared result reporting for the flat and sharded explorers (both return
-   [Check.Explore.result]). *)
 let report_explore_result ~repro_command res =
   let s = res.Check.Explore.stats in
   Printf.printf
@@ -1084,22 +1002,6 @@ let report_explore_result ~repro_command res =
       (repro_command v.Check.Explore.v_decisions v.Check.Explore.v_crash);
     `Error (false, "durable-linearizability violations found")
 
-let report_explore_replay (violations, crashed, logged, completed, applied) =
-  Printf.printf "replay: crashed=%b logged=%d completed=%d applied=%d\n"
-    crashed logged completed applied;
-  if violations = [] then begin
-    print_endline "no violations";
-    `Ok ()
-  end
-  else begin
-    List.iter
-      (fun v ->
-        Printf.printf "VIOLATION: %s\n"
-          (Check.Durable_lin.violation_to_string v))
-      violations;
-    `Error (false, "durable-linearizability violations found")
-  end
-
 (* Op mix for sharded exploration: single-key inserts/gets plus cross-shard
    multi-puts and transfers over a small key range, so the 2PC paths are in
    the explored space. The map structures share op codes. *)
@@ -1118,14 +1020,7 @@ let explore variant ds threads ops epsilon log_size seed sockets cores fault
   match parse_policy persist_policy with
   | Error m -> `Error (true, m)
   | Ok persist_policy ->
-  let variant_v =
-    match variant with
-    | "volatile" -> Ok Prep.Config.Volatile
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
-    | other -> Error (Printf.sprintf "unknown variant %S" other)
-  in
-  match (variant_v, parse_fault fault, fuzz_ds ds) with
+  match (parse_variant variant, parse_fault fault, fuzz_ds ds) with
   | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (true, m)
   | _, _, _ when detect && variant <> "durable" ->
     `Error (true, "--detect requires --variant durable")
@@ -1137,20 +1032,17 @@ let explore variant ds threads ops epsilon log_size seed sockets cores fault
     `Error (true, "--fault manifest-before-seal requires --lsm-ckpt")
   | _, _, _ when lsm_ckpt && variant = "volatile" ->
     `Error (true, "--lsm-ckpt requires --variant buffered or durable")
-  | _, _, _
-    when lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) ->
+  | _, _, _ when lsm_ckpt && not (is_map ds) ->
     `Error
       (true, "--lsm-ckpt needs a map data structure (per-key dirty tracking)")
   | _, _, _ when lsm_fanout < 2 ->
     `Error (true, "--lsm-fanout must be at least 2")
-  | Ok mode, Ok fault_v, Ok ((module Ds), gen_op) ->
+  | Ok mode, Ok fault_v, Ok ((module Ds), flat_gen) ->
     let scope =
       {
         Check.Explore.seed;
         threads;
         ops_per_worker = ops;
-        epsilon;
-        log_size;
         sockets;
         cores_per_socket = cores;
         prune = not no_prune;
@@ -1165,130 +1057,58 @@ let explore variant ds threads ops epsilon log_size seed sockets cores fault
         max_frontier_lines = frontier_lines;
       }
     in
-    if uc_shards > 1 then begin
-      let _ = mode in
-      if persist_policy <> None then
-        `Error (true, "--persist-policy is not supported with --uc-shards")
-      else if variant <> "durable" then
-        `Error
-          (true, "--uc-shards requires --variant durable (sharding is durable-only)")
-      else if flit || dist_rw || log_mirror || slot_bitmap || detect || lsm_ckpt
-      then
-        `Error
-          ( true,
-            "--flit/--dist-rw/--log-mirror/--slot-bitmap/--detect/--lsm-ckpt \
-             are not supported with --uc-shards" )
-      else if shards > 1 then
-        `Error
-          ( true,
-            "--shards (oracle campaign split) is not supported with \
-             --uc-shards" )
-      else if not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ]) then
-        `Error (true, "--uc-shards needs a map data structure (ops route by key)")
-      else begin
-        let module ES = Check.Explore_shard.Make (Ds) in
-        if threads < 1 || threads > ES.max_threads scope then
-          `Error
-            ( true,
-              Printf.sprintf "--threads must be between 1 and %d (got %d)"
-                (ES.max_threads scope) threads )
-        else begin
-          let repro_command decisions crash =
-            Printf.sprintf
-              "dune exec bin/prep_cli.exe -- explore --variant durable --ds \
-               %s --uc-shards %d --threads %d --ops %d --epsilon %d \
-               --log-size %d --seed %d --sockets %d --cores %d --fault %s%s \
-               --replay '%s'%s"
-              ds uc_shards threads ops epsilon log_size seed sockets cores
-              fault
-              (if no_persistence then " --no-persistence" else "")
-              (Check.Explore.decisions_to_string decisions)
-              (match crash with
-               | None -> ""
-               | Some (st, m) ->
-                 Printf.sprintf " --crash-step %d --frontier %d" st m)
-          in
-          match replay with
-          | Some trace_str ->
-            let decisions = Check.Explore.decisions_of_string trace_str in
-            let crash = Option.map (fun st -> (st, frontier)) crash_step in
-            report_explore_replay
-              (ES.replay ~nshards:uc_shards ~fault:fault_v
-                 ~gen_op:sharded_explore_gen ~scope ~decisions ?crash ())
-          | None ->
-            report_explore_result ~repro_command
-              (ES.explore ~budget ~nshards:uc_shards ~fault:fault_v
-                 ~gen_op:sharded_explore_gen ~scope ())
-        end
-      end
-    end
+    let sharded = uc_shards > 1 in
+    let layered =
+      flit || dist_rw || log_mirror || slot_bitmap || detect || lsm_ckpt
+    in
+    if sharded && persist_policy <> None then
+      `Error (true, "--persist-policy is not supported with --uc-shards")
+    else if sharded && variant <> "durable" then
+      `Error
+        (true, "--uc-shards requires --variant durable (sharding is durable-only)")
+    else if sharded && layered then
+      `Error (true, layer_flag_list ^ " are not supported with --uc-shards")
+    else if sharded && not (is_map ds) then
+      `Error (true, "--uc-shards needs a map data structure (ops route by key)")
     else if uc_shards < 1 then `Error (true, "--uc-shards must be at least 1")
+    else if threads < 1 || threads > Check.Explore.max_threads scope then
+      `Error
+        ( true,
+          Printf.sprintf "--threads must be between 1 and %d (got %d)"
+            (Check.Explore.max_threads scope) threads )
+    else if shards < 1 then `Error (true, "--shards must be at least 1")
     else begin
-      let module E = Check.Explore.Make (Ds) in
-      if threads < 1 || threads > E.max_threads scope then
-        `Error
-          ( true,
-            Printf.sprintf "--threads must be between 1 and %d (got %d)"
-              (E.max_threads scope) threads )
-      else if shards < 1 then `Error (true, "--shards must be at least 1")
-      else begin
-        let flag_str =
-          String.concat ""
-            [
-              (if flit then " --flit" else "");
-              (if dist_rw then " --dist-rw" else "");
-              (if log_mirror then " --log-mirror" else "");
-              (if slot_bitmap then " --slot-bitmap" else "");
-              (if detect then " --detect" else "");
-              (if lsm_ckpt then " --lsm-ckpt" else "");
-              (if lsm_ckpt && lsm_fanout <> 4 then
-                 Printf.sprintf " --lsm-fanout %d" lsm_fanout
-               else "");
-              (if no_persistence then " --no-persistence" else "");
-              (match persist_policy with
-               | Some p when not (Nvm.Persist.is_default p) ->
-                 Printf.sprintf " --persist-policy \"%s\""
-                   (Nvm.Persist.to_spec p)
-               | Some _ | None -> "");
-            ]
+      let cfg =
+        Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
+          ~slot_bitmap ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy
+          ~shards:uc_shards ~fault:fault_v ~workers:threads ()
+      in
+      let module E =
+        Check.Explore.Make ((val Check.Sut.of_config (module Ds) cfg))
+      in
+      let gen_op = if sharded then sharded_explore_gen else flat_gen in
+      match replay with
+      | Some trace_str ->
+        let decisions = Check.Explore.decisions_of_string trace_str in
+        let crash = Option.map (fun s -> (s, frontier)) crash_step in
+        let violations, crashed, logged, completed, applied =
+          E.replay cfg ~gen_op ~scope ~decisions ?crash ()
         in
-        let repro_command decisions crash =
-          Printf.sprintf
-            "dune exec bin/prep_cli.exe -- explore --variant %s --ds %s \
-             --threads %d --ops %d --epsilon %d --log-size %d --seed %d \
-             --sockets %d --cores %d --fault %s%s --replay '%s'%s"
-            variant ds threads ops epsilon log_size seed sockets cores fault
-            flag_str
-            (Check.Explore.decisions_to_string decisions)
-            (match crash with
-             | None -> ""
-             | Some (s, m) -> Printf.sprintf " --crash-step %d --frontier %d" s m)
+        Printf.printf "replay: crashed=%b logged=%d completed=%d applied=%d\n"
+          crashed logged completed applied;
+        report_violations violations
+      | None ->
+        let res =
+          if shards = 1 then E.explore ~budget cfg ~gen_op ~scope ()
+          else
+            Check.Explore.merge_shards
+              (Campaign.run ~j:jobs
+                 (Array.init shards (fun i () ->
+                      E.explore ~budget ~shard:(i, shards) cfg ~gen_op ~scope
+                        ())))
         in
-        match replay with
-        | Some trace_str ->
-          let decisions = Check.Explore.decisions_of_string trace_str in
-          let crash = Option.map (fun s -> (s, frontier)) crash_step in
-          report_explore_replay
-            (E.replay ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-               ~lsm_ckpt ~lsm_fanout ?persist_policy ~mode ~fault:fault_v
-               ~gen_op ~scope ~decisions ?crash ())
-        | None ->
-          let res =
-            if shards = 1 then
-              E.explore ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-                ~lsm_ckpt ~lsm_fanout ?persist_policy ~budget ~mode
-                ~fault:fault_v ~gen_op ~scope ()
-            else
-              Check.Explore.merge_shards
-                (Campaign.run ~j:jobs
-                   (Array.init shards (fun i () ->
-                        E.explore ~flit ~dist_rw ~log_mirror ~slot_bitmap
-                          ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy
-                          ~budget ~shard:(i, shards) ~mode ~fault:fault_v
-                          ~gen_op ~scope ())))
-          in
-          report_explore_result ~repro_command res
-      end
+        report_explore_result ~repro_command:(Check.Repro.explore ~ds cfg scope)
+          res
     end
 
 let explore_cmd =
@@ -1345,30 +1165,29 @@ let optimize_persist variant ds threads ops epsilon log_size seed sockets
     fuzz_iters bg_period out report_file =
   let variant_v =
     match variant with
-    | "buffered" -> Ok Prep.Config.Buffered
-    | "durable" -> Ok Prep.Config.Durable
     | "volatile" ->
       Error "optimize-persist needs a persistent variant (buffered/durable)"
-    | other -> Error (Printf.sprintf "unknown variant %S" other)
+    | v -> parse_variant v
   in
   match (variant_v, fuzz_ds ds) with
   | Error m, _ | _, Error m -> `Error (true, m)
   | Ok mode, Ok ((module Ds), gen_op) ->
     if detect && mode <> Prep.Config.Durable then
       `Error (true, "--detect requires --variant durable")
-    else if lsm_ckpt && not (List.mem ds [ "hashmap"; "rbtree"; "skiplist" ])
-    then
+    else if lsm_ckpt && not (is_map ds) then
       `Error
         (true, "--lsm-ckpt needs a map data structure (per-key dirty tracking)")
     else begin
       let module PI = Check.Persist_infer.Make (Ds) in
+      let cfg =
+        Prep.Config.make ~mode ~log_size ~epsilon ~flit ~dist_rw ~log_mirror
+          ~slot_bitmap ~detect ~lsm_ckpt ~workers:threads ()
+      in
       let scope =
         {
           Check.Explore.seed;
           threads;
           ops_per_worker = ops;
-          epsilon;
-          log_size;
           sockets;
           cores_per_socket = cores;
           prune = true;
@@ -1387,8 +1206,6 @@ let optimize_persist variant ds threads ops epsilon log_size seed sockets
         {
           Check.Fuzz.workload_seed = seed;
           threads = fuzz_threads;
-          epsilon = 16;
-          log_size = 256;
           ops_per_worker = fuzz_ops;
           bg_period;
           preempt_prob = 0.02;
@@ -1396,9 +1213,8 @@ let optimize_persist variant ds threads ops epsilon log_size seed sockets
         }
       in
       let report =
-        PI.infer ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-          ~log:print_endline ~mode ~gen_op ~scope ~budget ~template
-          ~fuzz_iters ~ds ()
+        PI.infer ~log:print_endline cfg ~gen_op ~scope ~budget ~template
+          ~fuzz_epsilon:16 ~fuzz_log_size:256 ~fuzz_iters ~ds ()
       in
       let write path contents =
         let oc = open_out path in

@@ -3,7 +3,9 @@
     The fuzzer (lib/check/fuzz.ml) samples random schedules and random
     crash points; this module *enumerates* them for a small-scope workload
     (2–3 threads, a handful of ops, tiny ε), the way model-checking-based
-    persistency tools do:
+    persistency tools do. It is written once over the system-under-test
+    signature [Sut.S], so the single construction and the sharded 2PC
+    router are explored by the same engine:
 
     - [Sim] runs in controlled-scheduler mode: every fiber-facing memory
       operation is a scheduling choice point, and the explorer drives a
@@ -15,8 +17,9 @@
       frontier*: the current media image plus each subset of the dirty NVM
       lines the cache could have written back first (the write-pending
       queue is volatile, exactly as in [Memory.crash]). Each new frontier
-      is realised against a memory snapshot, recovered, and judged with
-      [Durable_lin]; the snapshot is then restored and the run continues.
+      is realised against a memory snapshot, recovered and judged by the
+      system under test ([Sut.S.recover_and_judge]); the snapshot is then
+      restored and the run continues.
     - Pruning makes this tractable: (a) an await transformation — a fiber
       entering a [Sim.spin] wait iteration is parked out of the branching
       set until some write or ghost-state change could alter what its
@@ -42,7 +45,7 @@
     Godefroid way: a revisit is pruned only when the state was previously
     explored under a subset of the current sleep set. Crash-state dedup
     is exact for the oracle's verdict, which is a function of
-    (media, ghost trace, config) only. Exhaustion is reported only when
+    (media, [Sut.S.crash_key], config) only. Exhaustion is reported only when
     no budget, depth or frontier cap was hit. *)
 
 type budget = {
@@ -61,15 +64,16 @@ let default_budget =
     max_frontier_lines = 8;
   }
 
-(** Small-scope workload under exploration. [prune] disables the sleep-set
-    and state-dedup reductions (naive enumeration, for the reduction-factor
-    comparison); crash-state dedup stays on either way — it is exact. *)
+(** Small-scope workload under exploration: only what is specific to the
+    scope. ε, log size, mode, the gated layers, the policy and the fault
+    come from the [Prep.Config.t] the explorer is given; [threads] sets its
+    [workers]. [prune] disables the sleep-set and state-dedup reductions
+    (naive enumeration, for the reduction-factor comparison); crash-state
+    dedup stays on either way — it is exact. *)
 type scope = {
   seed : int;  (** seeds the per-worker operation lists *)
   threads : int;
   ops_per_worker : int;
-  epsilon : int;
-  log_size : int;
   sockets : int;
   cores_per_socket : int;
   prune : bool;
@@ -81,19 +85,6 @@ type scope = {
           [epsilon] ahead (no combiner ever blocks on it) and recovery
           replays the whole log over the empty initial checkpoint. *)
 }
-
-let default_scope =
-  {
-    seed = 1;
-    threads = 2;
-    ops_per_worker = 3;
-    epsilon = 2;
-    log_size = 16;
-    sockets = 2;
-    cores_per_socket = 2;
-    prune = true;
-    persistence = true;
-  }
 
 type stats = {
   mutable schedules : int;  (** executions started (complete or pruned) *)
@@ -278,15 +269,8 @@ let decisions_of_string s =
              in
              List.init n (fun _ -> fid))
 
-(* local hash mixing, same construction as Memory's fingerprints *)
-let mix x =
-  let x = x lxor (x lsr 30) in
-  let x = x * 0x1B03738712FAD5C9 in
-  let x = x lxor (x lsr 27) in
-  let x = x * 0x2545F4914F6CDD1D in
-  x lxor (x lsr 31)
-
-let h2 a b = mix (a + (mix b * 0x27D4EB2F165667C5))
+let mix = Sut.mix
+let h2 = Sut.h2
 
 (* step footprints: (dirty_key | -1 global, is_write) *)
 type fp = (int * bool) list
@@ -310,95 +294,142 @@ type node = {
   mutable nd_fp : fp;  (** footprint of [nd_choice]'s step, once executed *)
 }
 
-
 exception Pruned
 exception Budget_exhausted
 exception Violation_found of violation
 exception Crash_now
 
-module Make (Ds : Seqds.Ds_intf.S) = struct
-  module Uc = Prep.Prep_uc.Make (Ds)
-  module Dl = Durable_lin.Make (Ds.Model)
+let topology (s : scope) =
+  { Sim.Topology.sockets = s.sockets; cores_per_socket = s.cores_per_socket }
+
+let max_threads scope = (scope.sockets * scope.cores_per_socket) - 1
+
+(* The per-worker op lists are drawn once, outside the simulation, so
+   workers perform no rng draws at runtime: a fiber's behaviour is then a
+   pure function of the values it reads, which is what the control-state
+   fingerprint assumes. *)
+let gen_workload ~gen_op ~scope =
+  let rng = Sim.Rng.create (Int64.of_int ((scope.seed * 1_000_003) + 11)) in
+  Array.init scope.threads (fun _ ->
+      List.init scope.ops_per_worker (fun _ -> gen_op rng))
+
+(* Run [f] (a recovery) in a fiber of a fresh nested timed simulation on
+   the memory's current, post-crash state. *)
+let recover_in topo f =
+  Nvm.Context.reset ();
+  let sim2 = Sim.create ~seed:97L topo in
+  ignore (Sim.spawn sim2 ~socket:0 f);
+  match Sim.run sim2 () with
+  | `Done -> ()
+  | `Cut _ -> failwith "Explore: recovery did not finish"
+
+module Make (S : Sut.S) = struct
   open Nvm
 
-  let topology (s : scope) =
-    { Sim.Topology.sockets = s.sockets; cores_per_socket = s.cores_per_socket }
+  (* One execution of the scope's workload under the controlled
+     scheduler: the state [explore]'s schedules and [replay] share. *)
+  type run = {
+    sim : Sim.t;
+    mem : Memory.t;
+    mutable uc : S.t option;
+    mutable runtime : bool;  (** every worker fiber has been spawned *)
+    mutable done_count : int;
+    parked : (int, int) Hashtbl.t;
+    iter_start : (int, int) Hashtbl.t;
+    mutable write_version : int;
+    mutable last_ghost : int;
+  }
 
-  let max_threads scope = (scope.sockets * scope.cores_per_socket) - 1
+  let new_run ~scope topo =
+    {
+      sim = Sim.create topo;
+      mem =
+        Memory.make
+          ~seed:(Int64.of_int (scope.seed + 7919))
+          ~sockets:scope.sockets ~bg_period:0 ();
+      uc = None;
+      runtime = false;
+      done_count = 0;
+      parked = Hashtbl.create 16;
+      iter_start = Hashtbl.create 16;
+      write_version = 0;
+      last_ghost = 0;
+    }
 
-  (* The per-worker op lists are drawn once, outside the simulation, so
-     workers perform no rng draws at runtime: a fiber's behaviour is then a
-     pure function of the values it reads, which is what the control-state
-     fingerprint assumes. *)
-  let gen_workload ~gen_op ~scope =
-    let rng = Sim.Rng.create (Int64.of_int ((scope.seed * 1_000_003) + 11)) in
-    Array.init scope.threads (fun _ ->
-        List.init scope.ops_per_worker (fun _ -> gen_op rng))
+  let ghost_hash r =
+    h2 r.done_count (match r.uc with Some uc -> S.ghost_hash uc | None -> 0)
 
-  let trace_hash trace =
-    let n = Prep.Trace.length trace in
-    let h = ref (mix n) in
-    for i = 0 to n - 1 do
-      let e = Prep.Trace.get trace i in
-      h :=
-        h2 !h
-          (h2 e.Prep.Trace.op
-             (h2
-                (Array.fold_left h2 0 e.Prep.Trace.args)
-                (h2
-                   (if e.Prep.Trace.completed then 1 else 0)
-                   (h2 e.Prep.Trace.tid e.Prep.Trace.seqno))))
-    done;
-    !h
+  (* The await transformation (the spin-loop treatment of stateless model
+     checkers): a fiber entering a [Sim.spin] wait iteration is *parked* —
+     removed from the branching set — until some write (or ghost-state
+     change) occurs, recorded as a version counter. Every wait loop in the
+     codebase re-checks its condition from scratch after each spin and its
+     body has no effect when nothing changed, so re-running a parked fiber
+     before any write is a global no-op; skipping those no-op steps loses
+     no reachable state and removes spin-loop unrolling from the search
+     space entirely. Wakes are conservative (any write wakes every parked
+     fiber).
 
-  (* latest applied client seqno per thread, from the tagged ghost trace *)
-  let applied_seqno_fn trace applied =
-    let tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun i ->
-        let e = Prep.Trace.get trace i in
-        if e.Prep.Trace.seqno > 0 then
-          let cur =
-            Option.value ~default:0 (Hashtbl.find_opt tbl e.Prep.Trace.tid)
-          in
-          if e.Prep.Trace.seqno > cur then
-            Hashtbl.replace tbl e.Prep.Trace.tid e.Prep.Trace.seqno)
-      applied;
-    fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
+     Parking uses the version current when the fiber last *resumed* from
+     a spin — the start of its current wait-loop iteration — not the
+     version at spin time: every memory access is its own scheduling
+     step, so a wait round's condition reads span several steps, and a
+     write interleaved between those reads and the spin would otherwise be
+     counted as already-seen — a lost wakeup that leaves the fiber parked
+     forever in a livelocked branch. Fibers with no recorded iteration
+     start (first spin ever) park stale and re-poll once, which is the
+     conservative direction. *)
+  let install_parking r =
+    Sim.set_spin_hook r.sim (fun fid ->
+        Hashtbl.replace r.parked fid
+          (Option.value ~default:(-1) (Hashtbl.find_opt r.iter_start fid)))
 
-  (* Run recovery for [uc] on the memory's *current* (post-crash) state in
-     a fresh nested timed simulation, preserving and restoring the global
-     allocator-context table around it. Returns
-     (report, snapshot, resolutions) — resolutions is the per-thread
-     [Uc.resolve] verdict list, empty unless [detect]. *)
-  let run_recovery ~scope ~detect uc =
-    let saved_ctx = Context.save () in
-    Context.reset ();
-    let topo = topology scope in
-    let sim2 = Sim.create ~seed:97L topo in
-    let out = ref None in
+  let unpark r fid =
+    if Hashtbl.mem r.parked fid then begin
+      Hashtbl.replace r.iter_start fid r.write_version;
+      Hashtbl.remove r.parked fid
+    end
+
+  (* ghost progress (done/stop flags, trace growth) also wakes parked
+     fibers: those waits read no memory *)
+  let eligible r enabled =
+    let gh = ghost_hash r in
+    if gh <> r.last_ghost then begin
+      r.last_ghost <- gh;
+      r.write_version <- r.write_version + 1
+    end;
+    Array.to_list enabled
+    |> List.filter (fun fid ->
+           match Hashtbl.find_opt r.parked fid with
+           | Some v when v = r.write_version -> false
+           | _ -> true)
+
+  (* The root fiber builds the construction, spawns one fiber per worker
+     running its op list, waits for them, then stops and syncs. *)
+  let spawn_workload r ~cfg ~scope ~topo ~workload =
     ignore
-      (Sim.spawn sim2 ~socket:0 (fun () ->
-           let uc', report = Uc.recover uc in
-           let resolutions =
-             if not detect then []
-             else
-               List.init scope.threads (fun w ->
-                   let socket, core = Sim.Topology.place topo w in
-                   let tid =
-                     (socket * topo.Sim.Topology.cores_per_socket) + core
-                   in
-                   (tid, Uc.resolve uc' ~tid))
-           in
-           out := Some (report, Uc.snapshot uc', resolutions)));
-    (match Sim.run sim2 () with
-     | `Done -> ()
-     | `Cut _ -> failwith "Explore: recovery did not finish");
-    Context.restore saved_ctx;
-    Option.get !out
+      (Sim.spawn r.sim ~socket:0 (fun () ->
+           let uc = S.create r.mem (Roots.make r.mem) cfg in
+           r.uc <- Some uc;
+           if scope.persistence then S.start_persistence uc;
+           for w = 0 to scope.threads - 1 do
+             let socket, core = Sim.Topology.place topo w in
+             let ops = workload.(w) in
+             Sim.spawn_here ~socket ~core (fun () ->
+                 S.register_worker uc;
+                 List.iter (fun (op, args) -> S.execute uc ~op ~args) ops;
+                 r.done_count <- r.done_count + 1)
+           done;
+           r.runtime <- true;
+           while r.done_count < scope.threads do
+             Sim.spin ()
+           done;
+           S.stop uc;
+           S.sync uc))
 
   (** Explore every interleaving and every reachable crash frontier of the
-      small-scope workload. Stops at the first violation (it carries a
+      small-scope workload, running [cfg]'s construction with
+      [scope.threads] workers. Stops at the first violation (it carries a
       replayable decision trace) or when the space/budget is exhausted.
 
       [shard = (i, n)] splits the oracle work for a parallel campaign:
@@ -410,23 +441,16 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       anyway), so shards stay in lockstep; [merge_shards] reassembles the
       full result and audits that lockstep. The default [(0, 1)] is the
       exact unsharded search. *)
-  let explore ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?(lsm_fanout = 4) ?persist_policy ?(budget = default_budget)
-      ?(shard = (0, 1)) ~mode ~fault ~gen_op ~scope () =
+  let explore ?(budget = default_budget) ?(shard = (0, 1))
+      (cfg : Prep.Config.t) ~gen_op ~scope () =
     if scope.threads < 1 || scope.threads > max_threads scope then
       invalid_arg "Explore: thread count out of range";
     let shard_ix, shard_n = shard in
     if shard_n < 1 || shard_ix < 0 || shard_ix >= shard_n then
       invalid_arg "Explore: shard index out of range";
     let mine h = shard_n = 1 || (h land max_int) mod shard_n = shard_ix in
+    let cfg = { cfg with Prep.Config.workers = scope.threads } in
     let topo = topology scope in
-    let beta = topo.Sim.Topology.cores_per_socket in
-    let loss_bound =
-      match mode with
-      | Prep.Config.Durable -> 0
-      | _ -> scope.epsilon + beta - 1
-    in
     let workload = gen_workload ~gen_op ~scope in
     let stats = new_stats () in
     (* state key -> sleep-set signatures it was explored under. Plain
@@ -445,20 +469,20 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let budget_hit = ref false in
     let depth_cut = ref false in
     let truncated = ref false in
+    (* the recovery simulation runs nested inside the schedule's: keep the
+       global allocator-context table of the live run intact around it *)
+    let recover f =
+      let saved_ctx = Context.save () in
+      recover_in topo f;
+      Context.restore saved_ctx
+    in
 
     (* ---- one schedule execution (stateless re-execution) ---- *)
     let run_once () =
       let prefix_nodes = Array.of_list (List.rev !path) in
       let process_from = Array.length prefix_nodes - 1 in
-      let sim = Sim.create topo in
-      let mem =
-        Memory.make
-          ~seed:(Int64.of_int (scope.seed + 7919))
-          ~sockets:scope.sockets ~bg_period:0 ()
-      in
-      let uc_ref = ref None in
-      let runtime = ref false in
-      let done_count = ref 0 in
+      let r = new_run ~scope topo in
+      let mem = r.mem in
       (* Per-fiber control state, tracked *exactly*: a hash chain over the
          fiber's entire observation history — every access it performed,
          with address, kind and the value read or written. The fibers run
@@ -471,61 +495,23 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
          and be dedup-pruned, losing every schedule where its first access
          happens early *)
       let started : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-      (* The await transformation (the spin-loop treatment of stateless
-         model checkers): a fiber entering a [Sim.spin] wait iteration is
-         *parked* — removed from the branching set — until some write (or
-         ghost-state change) occurs, recorded as a version counter. Every
-         wait loop in the codebase re-checks its condition from scratch
-         after each spin and its body has no effect when nothing changed,
-         so re-running a parked fiber before any write is a global no-op;
-         skipping those no-op steps loses no reachable state and removes
-         spin-loop unrolling from the search space entirely. Wakes are
-         conservative (any write wakes every parked fiber). *)
-      let parked : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      (* Version current when the fiber last *resumed* from a spin — the
-         start of its current wait-loop iteration. Parking must use this,
-         not the version at spin time: every memory access is its own
-         scheduling step, so a wait round's condition reads span several
-         steps, and a write interleaved between those reads and the spin
-         would otherwise be counted as already-seen — a lost wakeup that
-         leaves the fiber parked forever in a livelocked branch. Fibers
-         with no recorded iteration start (first spin ever) park stale and
-         re-poll once, which is the conservative direction. *)
-      let iter_start : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let write_version = ref 0 in
-      let last_ghost = ref 0 in
       let cur_fp : fp ref = ref [] in
       let hook key addr write value =
         let fid = (Sim.self ()).Sim.fid in
         cur_fp := (key, write) :: !cur_fp;
-        if write then incr write_version;
+        if write then r.write_version <- r.write_version + 1;
         let av = h2 addr (h2 key (h2 (if write then 1 else 0) value)) in
         Hashtbl.replace chains fid
           (h2 (Option.value ~default:0 (Hashtbl.find_opt chains fid)) av)
       in
       Memory.set_access_hook mem hook;
-      Sim.set_spin_hook sim (fun fid ->
-          Hashtbl.replace parked fid
-            (Option.value ~default:(-1) (Hashtbl.find_opt iter_start fid)));
+      install_parking r;
       let decision_idx = ref 0 in
       let step_idx = ref 0 in
       let decisions_rev = ref [] in
       let pending_sleep : (int * fp) list ref = ref [] in
       let attr_node : node option ref = ref None in
 
-      let ghost_hash () =
-        let uc_ghost =
-          match !uc_ref with
-          | Some uc ->
-            h2
-              (if uc.Uc.stop_flag then 1 else 0)
-              (h2 (trace_hash uc.Uc.trace)
-                 (h2 (Uc.lsm_ghost uc)
-                    (Array.fold_left h2 0 uc.Uc.next_seq)))
-          | None -> 0
-        in
-        h2 !done_count uc_ghost
-      in
       let state_key enabled =
         let h =
           ref
@@ -533,12 +519,12 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                (h2 (Memory.media_hash mem)
                   (h2 (Memory.dirty_hash mem) (Memory.wpq_hash mem))))
         in
-        h := h2 !h (ghost_hash ());
+        h := h2 !h (ghost_hash r);
         Array.iter
           (fun fid ->
             let chain = Option.value ~default:0 (Hashtbl.find_opt chains fid) in
             let fextra =
-              match Sim.find_fiber sim fid with
+              match Sim.find_fiber r.sim fid with
               | Some f ->
                 h2
                   ((if f.Sim.palloc then 2 else 0)
@@ -551,7 +537,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         !h
       in
 
-      (* crash a memory snapshot into every not-yet-seen frontier image *)
+      (* crash a memory snapshot into one frontier image, recover, judge *)
       let check_crash uc ~snap ~lines ~mask ~this_step =
         stats.recoveries <- stats.recoveries + 1;
         Memory.clear_access_hook mem;
@@ -559,36 +545,25 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           (fun b key -> if mask land (1 lsl b) <> 0 then Memory.commit_line mem key)
           lines;
         Memory.crash mem;
-        let trace = Uc.trace uc in
-        let completed = Prep.Trace.completed_indexes trace in
-        let report, recovered_snapshot, resolutions =
-          run_recovery ~scope ~detect uc
-        in
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc)
-            ~applied:report.Prep.Prep_uc.applied ~completed ~recovered_snapshot
-            ~loss_bound ()
-          @ Durable_lin.check_resolutions ~resolutions
-              ~applied_seqno:
-                (applied_seqno_fn trace report.Prep.Prep_uc.applied)
-        in
-        let lost = report.Prep.Prep_uc.lost_completed in
-        if lost > stats.max_completed_loss then stats.max_completed_loss <- lost;
+        let j = S.recover_and_judge uc ~topo ~run:recover in
+        if j.Sut.lost > stats.max_completed_loss then
+          stats.max_completed_loss <- j.Sut.lost;
         Memory.restore mem snap;
         Memory.set_access_hook mem hook;
-        if violations <> [] then
+        if j.Sut.violations <> [] then
           raise
             (Violation_found
                {
                  v_decisions = List.rev !decisions_rev;
                  v_crash = Some (this_step, mask);
-                 v_violations = violations;
-                 v_logged = Prep.Trace.length trace;
-                 v_completed = List.length completed;
-                 v_applied = List.length report.Prep.Prep_uc.applied;
+                 v_violations = j.Sut.violations;
+                 v_logged = j.Sut.logged;
+                 v_completed = j.Sut.completed;
+                 v_applied = j.Sut.applied;
                })
       in
 
+      (* crash a memory snapshot into every not-yet-seen frontier image *)
       let enumerate_crash_frontiers uc this_step =
         let dirty = Memory.dirty_nvm_line_keys mem in
         let k_all = List.length dirty in
@@ -601,10 +576,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         let lines = Array.sub lines 0 k in
         let deltas = Array.map (Memory.line_commit_delta mem) lines in
         let base_media = Memory.media_hash mem in
-        let th = trace_hash (Uc.trace uc) in
+        let th = S.crash_key uc in
         (* the reachable frontier images are fully determined by
-           (media, per-line deltas, ghost trace): skip the whole point if
-           that combination was already enumerated *)
+           (media, per-line deltas, ghost): skip the whole point if that
+           combination was already enumerated *)
         let base_key =
           h2 base_media (h2 th (Array.fold_left h2 (mix k) deltas))
         in
@@ -645,14 +620,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
 
       let chooser (enabled : int array) : int =
         let pick fid =
-          if Hashtbl.mem parked fid then begin
-            Hashtbl.replace iter_start fid !write_version;
-            Hashtbl.remove parked fid
-          end;
+          unpark r fid;
           Hashtbl.replace started fid ();
           fid
         in
-        if not !runtime then pick enabled.(0)
+        if not r.runtime then pick enabled.(0)
         else begin
           (* a step just finished: attribute and consume its footprint *)
           let fp = !cur_fp in
@@ -674,20 +646,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
             raise Pruned
           end;
           let processing = !decision_idx > process_from in
-          (* ghost progress (done/stop flags, trace growth) also wakes
-             parked fibers: those waits read no memory *)
-          let gh = ghost_hash () in
-          if gh <> !last_ghost then begin
-            last_ghost := gh;
-            incr write_version
-          end;
-          let eligible =
-            Array.to_list enabled
-            |> List.filter (fun fid ->
-                   match Hashtbl.find_opt parked fid with
-                   | Some v when v = !write_version -> false
-                   | _ -> true)
-          in
+          let eligible = eligible r enabled in
           (* Every runnable fiber is parked at the current version: no
              fiber's wait condition can ever change again along this
              schedule (the re-checks are memoryless), so its only
@@ -698,8 +657,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           end;
           let eligible = Array.of_list eligible in
           if processing then begin
-            (match !uc_ref with
-             | Some uc when mode <> Prep.Config.Volatile ->
+            (match r.uc with
+             | Some uc when cfg.Prep.Config.mode <> Prep.Config.Volatile ->
                enumerate_crash_frontiers uc this_step
              | _ -> ());
             if Array.length eligible > 1 then begin
@@ -781,65 +740,32 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           end
         end
       in
-      Sim.set_chooser sim chooser;
-      ignore
-        (Sim.spawn sim ~socket:0 (fun () ->
-             let roots = Roots.make mem in
-             let cfg =
-               Prep.Config.make ~mode ~log_size:scope.log_size
-                 ~epsilon:scope.epsilon ~flit ~dist_rw ~log_mirror ~slot_bitmap
-                 ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy ~fault
-                 ~workers:scope.threads ()
-             in
-             let uc = Uc.create mem roots cfg in
-             uc_ref := Some uc;
-             if scope.persistence then Uc.start_persistence uc;
-             for w = 0 to scope.threads - 1 do
-               let socket, core = Sim.Topology.place topo w in
-               let ops = workload.(w) in
-               Sim.spawn_here ~socket ~core (fun () ->
-                   Uc.register_worker uc;
-                   List.iter (fun (op, args) -> ignore (Uc.execute uc ~op ~args)) ops;
-                   incr done_count)
-             done;
-             runtime := true;
-             while !done_count < scope.threads do
-               Sim.spin ()
-             done;
-             Uc.stop uc;
-             Uc.sync uc));
-      (match Sim.run sim () with
+      Sim.set_chooser r.sim chooser;
+      spawn_workload r ~cfg ~scope ~topo ~workload;
+      (match Sim.run r.sim () with
        | `Done -> ()
        | `Cut _ -> assert false);
       (* terminal: quiescent state must equal the full-trace model replay *)
-      let uc = Option.get !uc_ref in
+      let uc = Option.get r.uc in
       stats.terminals <- stats.terminals + 1;
-      let trace = Uc.trace uc in
-      let logged = Prep.Trace.length trace in
-      let completed = Prep.Trace.completed_indexes trace in
-      let applied = List.init logged (fun i -> i) in
-      let snapshot = Uc.snapshot uc in
-      Hashtbl.replace terminal_states snapshot ();
+      Hashtbl.replace terminal_states (S.snapshot uc) ();
       (* terminal model-replay is sharded by decision-trace hash; snapshot
          collection above is not (every shard sees every terminal) *)
       let dh =
         List.fold_left h2 (mix (List.length !decisions_rev)) !decisions_rev
       in
       if mine dh then begin
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc) ~applied ~completed
-            ~recovered_snapshot:snapshot ~loss_bound:0 ()
-        in
-        if violations <> [] then
+        let j = S.judge_quiescent uc in
+        if j.Sut.violations <> [] then
           raise
             (Violation_found
                {
                  v_decisions = List.rev !decisions_rev;
                  v_crash = None;
-                 v_violations = violations;
-                 v_logged = logged;
-                 v_completed = List.length completed;
-                 v_applied = logged;
+                 v_violations = j.Sut.violations;
+                 v_logged = j.Sut.logged;
+                 v_completed = j.Sut.completed;
+                 v_applied = j.Sut.applied;
                })
       end
     in
@@ -907,90 +833,43 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       crash at [crash = (step, frontier_mask)] — the mask selects, bit [b],
       the [b]-th dirty NVM line (sorted) at that step — then recover and
       check. Everything is deterministic: replaying a violation's trace
-      reproduces its violation. *)
-  let replay ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?(lsm_fanout = 4) ?persist_policy ~mode ~fault ~gen_op ~scope ~decisions
-      ?crash () =
+      reproduces its violation. Returns
+      (violations, crashed, logged, completed, applied). *)
+  let replay (cfg : Prep.Config.t) ~gen_op ~scope ~decisions ?crash () =
+    let cfg = { cfg with Prep.Config.workers = scope.threads } in
     let topo = topology scope in
-    let beta = topo.Sim.Topology.cores_per_socket in
-    let loss_bound =
-      match mode with
-      | Prep.Config.Durable -> 0
-      | _ -> scope.epsilon + beta - 1
-    in
     let workload = gen_workload ~gen_op ~scope in
     let decisions = Array.of_list decisions in
-    let sim = Sim.create topo in
-    let mem =
-      Memory.make
-        ~seed:(Int64.of_int (scope.seed + 7919))
-        ~sockets:scope.sockets ~bg_period:0 ()
-    in
-    let uc_ref = ref None in
-    let runtime = ref false in
-    let done_count = ref 0 in
+    let r = new_run ~scope topo in
     let decision_idx = ref 0 in
     let step_idx = ref 0 in
     (* the same await-parking as [explore]: decision traces only record
        choices at branching points, so replay must reconstruct the same
        eligible sets to consume them at the same steps *)
-    let parked : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let iter_start : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let write_version = ref 0 in
-    let last_ghost = ref 0 in
-    Memory.set_access_hook mem (fun _ _ write _ ->
-        if write then incr write_version);
-    Sim.set_spin_hook sim (fun fid ->
-        Hashtbl.replace parked fid
-          (Option.value ~default:(-1) (Hashtbl.find_opt iter_start fid)));
-    let ghost_hash () =
-      let uc_ghost =
-        match !uc_ref with
-        | Some uc ->
-          h2
-            (if uc.Uc.stop_flag then 1 else 0)
-            (h2 (trace_hash uc.Uc.trace)
-               (h2 (Uc.lsm_ghost uc)
-                  (Array.fold_left h2 0 uc.Uc.next_seq)))
-        | None -> 0
-      in
-      h2 !done_count uc_ghost
-    in
+    Memory.set_access_hook r.mem (fun _ _ write _ ->
+        if write then r.write_version <- r.write_version + 1);
+    install_parking r;
     let chooser (enabled : int array) : int =
-      if not !runtime then enabled.(0)
+      if not r.runtime then enabled.(0)
       else begin
         let this_step = !step_idx in
         incr step_idx;
         (match crash with
          | Some (s, mask) when this_step = s ->
-           let lines = Array.of_list (Memory.dirty_nvm_line_keys mem) in
+           let lines = Array.of_list (Memory.dirty_nvm_line_keys r.mem) in
            Array.iteri
              (fun b key ->
-               if mask land (1 lsl b) <> 0 then Memory.commit_line mem key)
+               if mask land (1 lsl b) <> 0 then Memory.commit_line r.mem key)
              lines;
            raise Crash_now
          | _ -> ());
-        let gh = ghost_hash () in
-        if gh <> !last_ghost then begin
-          last_ghost := gh;
-          incr write_version
-        end;
         let eligible =
-          Array.to_list enabled
-          |> List.filter (fun fid ->
-                 match Hashtbl.find_opt parked fid with
-                 | Some v when v = !write_version -> false
-                 | _ -> true)
-        in
-        let eligible =
-          if eligible = [] then enabled else Array.of_list eligible
+          match eligible r enabled with
+          | [] -> enabled
+          | l -> Array.of_list l
         in
         let pick fid =
-          if Hashtbl.mem parked fid then begin
-            Hashtbl.replace iter_start fid !write_version;
-            Hashtbl.remove parked fid
-          end;
+          unpark r fid;
           fid
         in
         if Array.length eligible = 1 then pick eligible.(0)
@@ -1004,84 +883,22 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         else pick eligible.(0)
       end
     in
-    Sim.set_chooser sim chooser;
-    ignore
-      (Sim.spawn sim ~socket:0 (fun () ->
-           let roots = Roots.make mem in
-           let cfg =
-             Prep.Config.make ~mode ~log_size:scope.log_size
-               ~epsilon:scope.epsilon ~flit ~dist_rw ~log_mirror ~slot_bitmap
-               ~detect ~lsm_ckpt ~lsm_fanout ?persist_policy ~fault
-               ~workers:scope.threads ()
-           in
-           let uc = Uc.create mem roots cfg in
-           uc_ref := Some uc;
-           if scope.persistence then Uc.start_persistence uc;
-           for w = 0 to scope.threads - 1 do
-             let socket, core = Sim.Topology.place topo w in
-             let ops = workload.(w) in
-             Sim.spawn_here ~socket ~core (fun () ->
-                 Uc.register_worker uc;
-                 List.iter (fun (op, args) -> ignore (Uc.execute uc ~op ~args)) ops;
-                 incr done_count)
-           done;
-           runtime := true;
-           while !done_count < scope.threads do
-             Sim.spin ()
-           done;
-           Uc.stop uc;
-           Uc.sync uc));
+    Sim.set_chooser r.sim chooser;
+    spawn_workload r ~cfg ~scope ~topo ~workload;
     let crashed =
       try
-        (match Sim.run sim () with `Done -> () | `Cut _ -> assert false);
+        (match Sim.run r.sim () with `Done -> () | `Cut _ -> assert false);
         false
       with Crash_now -> true
     in
-    let uc = Option.get !uc_ref in
-    let trace = Uc.trace uc in
-    let logged = Prep.Trace.length trace in
-    let completed = Prep.Trace.completed_indexes trace in
-    if crashed then begin
-      Memory.clear_access_hook mem;
-      Memory.crash mem;
-      Context.reset ();
-      let sim2 = Sim.create ~seed:97L topo in
-      let out = ref None in
-      ignore
-        (Sim.spawn sim2 ~socket:0 (fun () ->
-             let uc', report = Uc.recover uc in
-             let resolutions =
-               if not detect then []
-               else
-                 List.init scope.threads (fun w ->
-                     let socket, core = Sim.Topology.place topo w in
-                     let tid = (socket * beta) + core in
-                     (tid, Uc.resolve uc' ~tid))
-             in
-             out := Some (report, Uc.snapshot uc', resolutions)));
-      (match Sim.run sim2 () with
-       | `Done -> ()
-       | `Cut _ -> failwith "Explore.replay: recovery did not finish");
-      let report, recovered_snapshot, resolutions = Option.get !out in
-      let violations =
-        Dl.check ~trace ~prefill:(Uc.prefill_ops uc)
-          ~applied:report.Prep.Prep_uc.applied ~completed ~recovered_snapshot
-          ~loss_bound ()
-        @ Durable_lin.check_resolutions ~resolutions
-            ~applied_seqno:(applied_seqno_fn trace report.Prep.Prep_uc.applied)
-      in
-      ( violations,
-        true,
-        logged,
-        List.length completed,
-        List.length report.Prep.Prep_uc.applied )
-    end
-    else begin
-      let applied = List.init logged (fun i -> i) in
-      let violations =
-        Dl.check ~trace ~prefill:(Uc.prefill_ops uc) ~applied ~completed
-          ~recovered_snapshot:(Uc.snapshot uc) ~loss_bound:0 ()
-      in
-      (violations, false, logged, List.length completed, logged)
-    end
+    let uc = Option.get r.uc in
+    let j =
+      if crashed then begin
+        Memory.clear_access_hook r.mem;
+        Memory.crash r.mem;
+        S.recover_and_judge uc ~topo ~run:(recover_in topo)
+      end
+      else S.judge_quiescent uc
+    in
+    (j.Sut.violations, crashed, j.Sut.logged, j.Sut.completed, j.Sut.applied)
 end

@@ -14,8 +14,13 @@
       bound (ε+β−1 buffered, 0 durable), prefix consistency, application
       order, and state-vs-model replay;
     - on failure, [shrink] minimizes (threads, crash point, work) to the
-      smallest episode that still reproduces, and [repro_command] prints a
+      smallest episode that still reproduces, and [Repro.fuzz] prints a
       replayable CLI invocation.
+
+    The driver is written once over the system-under-test signature
+    [Sut.S]: the single construction and the sharded 2PC router (whose
+    judgment adds the cross-shard atomicity audit) are fuzzed by the same
+    code.
 
     Everything is a deterministic function of the episode parameters, so a
     CI budget of episodes explores fresh crash points per seed without
@@ -30,11 +35,13 @@ type crash_point =
   | At_time of int  (** power failure at this simulated time, ns *)
   | No_crash  (** run to quiescence; check the final state instead *)
 
+(** One episode: only what is specific to it. ε, log size, mode, the
+    gated layers, the policy and the fault come from the [Prep.Config.t]
+    the driver is given; [threads] (which [shrink] reduces) sets its
+    [workers]. *)
 type episode = {
   workload_seed : int;  (** seeds the scheduler, workload and bg flushes *)
   threads : int;
-  epsilon : int;
-  log_size : int;
   ops_per_worker : int;
   bg_period : int;  (** mean ops between background cache write-backs *)
   preempt_prob : float;  (** forced-preemption chance per tick *)
@@ -62,58 +69,26 @@ let crash_flag = function
   | At_time ns -> Printf.sprintf "--crash-at %d" ns
   | No_crash -> "--no-crash"
 
-let variant_name = function
-  | Prep.Config.Volatile -> "volatile"
-  | Prep.Config.Buffered -> "buffered"
-  | Prep.Config.Durable -> "durable"
-
-(** A copy-pasteable replay of [ep]: runs exactly one episode. *)
-let repro_command ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-    ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-    ?persist_policy ~mode ~fault ~ds ep =
-  Printf.sprintf
-    "dune exec bin/prep_cli.exe -- fuzz --variant %s --ds %s --threads %d \
-     --epsilon %d --log-size %d --ops %d --seed %d --fault %s%s%s%s%s%s%s%s %s"
-    (variant_name mode) ds ep.threads ep.epsilon ep.log_size ep.ops_per_worker
-    ep.workload_seed (Prep.Config.fault_name fault)
-    (if flit then " --flit" else "")
-    (if dist_rw then " --dist-rw" else "")
-    (if log_mirror then " --log-mirror" else "")
-    (if slot_bitmap then " --slot-bitmap" else "")
-    (if detect then " --detect" else "")
-    (if lsm_ckpt then " --lsm-ckpt" else "")
-    (match persist_policy with
-     | Some p when not (Nvm.Persist.is_default p) ->
-         Printf.sprintf " --persist-policy \"%s\"" (Nvm.Persist.to_spec p)
-     | Some _ | None -> "")
-    (crash_flag ep.crash)
-
-let pp_episode ppf ep =
+let pp_episode (cfg : Prep.Config.t) ppf ep =
   Fmt.pf ppf "seed=%d threads=%d epsilon=%d ops=%d %s" ep.workload_seed
-    ep.threads ep.epsilon ep.ops_per_worker (crash_flag ep.crash)
+    ep.threads cfg.Prep.Config.epsilon ep.ops_per_worker (crash_flag ep.crash)
 
-module Make (Ds : Seqds.Ds_intf.S) = struct
-  module Uc = Prep.Prep_uc.Make (Ds)
-  module Dl = Durable_lin.Make (Ds.Model)
+(* Small fixed machine: plenty of cross-socket traffic, fast episodes.
+   Worker count is capped at total cores − 1 (persistence thread). *)
+let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
+let max_threads = Sim.Topology.total_cores topology - 1
+
+module Make (S : Sut.S) = struct
   open Nvm
 
-  (* Small fixed machine: plenty of cross-socket traffic, fast episodes.
-     Worker count is capped at total cores − 1 (persistence thread). *)
-  let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
-  let beta = topology.Sim.Topology.cores_per_socket
-  let max_threads = Sim.Topology.total_cores topology - 1
-
-  (** Run one episode: workload, optional crash, recovery, checks.
-      [gen_op] draws one (op, args) pair from the fiber's rng. [flit],
-      [dist_rw], [log_mirror], [slot_bitmap] and [lsm_ckpt] fuzz the
-      corresponding gated layer instead of the baseline; [detect] additionally
-      drives the announce/response protocol and, after a crash, judges
-      every thread's [resolve] verdict against ghost truth. *)
-  let run_episode ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?persist_policy ~mode ~fault ~gen_op ep =
+  (** Run one episode of [cfg]'s construction: workload, optional crash,
+      recovery, judgment ([Sut.S.recover_and_judge] after a crash,
+      [Sut.S.judge_quiescent] otherwise). [gen_op] draws one (op, args)
+      pair from the fiber's rng. *)
+  let run_episode (cfg : Prep.Config.t) ~gen_op ep =
     if ep.threads < 1 || ep.threads > max_threads then
       invalid_arg "Fuzz: thread count out of range";
+    let cfg = { cfg with Prep.Config.workers = ep.threads } in
     let sim =
       Sim.create
         ~seed:(Int64.of_int ep.workload_seed)
@@ -129,13 +104,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let end_time = ref 0 in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
-           let roots = Roots.make mem in
-           let cfg =
-             Prep.Config.make ~mode ~log_size:ep.log_size ~epsilon:ep.epsilon
-               ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-               ?persist_policy ~fault ~workers:ep.threads ()
-           in
-           let uc = Uc.create mem roots cfg in
+           let uc = S.create mem (Roots.make mem) cfg in
            uc_ref := Some uc;
            setup_ops := Memory.op_index mem;
            (* only now is there a recoverable checkpoint: crash points are
@@ -146,24 +115,24 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
               Memory.set_crash_hook mem (fun i ->
                   if i - base >= n then raise Crash_injected)
             | At_time _ | No_crash -> ());
-           Uc.start_persistence uc;
+           S.start_persistence uc;
            let done_count = ref 0 in
            for w = 0 to ep.threads - 1 do
              let socket, core = Sim.Topology.place topology w in
              Sim.spawn_here ~socket ~core (fun () ->
-                 Uc.register_worker uc;
+                 S.register_worker uc;
                  let rng = Sim.fiber_rng () in
                  for _ = 1 to ep.ops_per_worker do
                    let op, args = gen_op rng in
-                   ignore (Uc.execute uc ~op ~args)
+                   S.execute uc ~op ~args
                  done;
                  incr done_count)
            done;
            while !done_count < ep.threads do
              Sim.tick 10_000
            done;
-           Uc.stop uc;
-           Uc.sync uc;
+           S.stop uc;
+           S.sync uc;
            end_time := Sim.now ()));
     let crashed =
       match ep.crash with
@@ -173,14 +142,11 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         | `Cut _ -> assert false)
       | At_time ns -> (
         match Sim.run ~until:ns sim () with `Cut _ -> true | `Done -> false)
-      | At_op _ ->
-        let r =
-          try
-            ignore (Sim.run sim ());
-            false
-          with Crash_injected -> true
-        in
-        r
+      | At_op _ -> (
+        try
+          ignore (Sim.run sim ());
+          false
+        with Crash_injected -> true)
     in
     Memory.clear_crash_hook mem;
     match !uc_ref with
@@ -197,96 +163,34 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         end_time = 0;
       }
     | Some uc ->
-      let trace = Uc.trace uc in
-      let completed = Prep.Trace.completed_indexes trace in
-      let logged = Prep.Trace.length trace in
       let runtime_ops = Memory.op_index mem - !setup_ops in
-      if crashed then begin
-        if mode = Prep.Config.Volatile then
-          invalid_arg "Fuzz: volatile episodes cannot crash";
-        Memory.crash mem;
-        Context.reset ();
-        let sim2 =
-          Sim.create ~seed:(Int64.of_int (ep.workload_seed + 1)) topology
-        in
-        let out = ref None in
-        ignore
-          (Sim.spawn sim2 ~socket:0 (fun () ->
-               let uc', report = Uc.recover uc in
-               let resolutions =
-                 if not detect then []
-                 else
-                   List.init ep.threads (fun w ->
-                       let socket, core = Sim.Topology.place topology w in
-                       let tid = (socket * beta) + core in
-                       (tid, Uc.resolve uc' ~tid))
-               in
-               out := Some (report, Uc.snapshot uc', resolutions)));
-        (match Sim.run sim2 () with
-         | `Done -> ()
-         | `Cut _ -> failwith "Fuzz: recovery did not finish");
-        let report, snap, resolutions = Option.get !out in
-        let loss_bound =
-          if mode = Prep.Config.Durable then 0 else ep.epsilon + beta - 1
-        in
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc)
-            ~applied:report.Prep.Prep_uc.applied
-            ~completed ~recovered_snapshot:snap ~loss_bound ()
-        in
-        let violations =
-          if not detect then violations
-          else
-            (* resolve-consistency: each thread's verdict must name exactly
-               the frontier of what the recovered state contains *)
-            let applied_seqno =
-              let tbl = Hashtbl.create 16 in
-              List.iter
-                (fun i ->
-                  let e = Prep.Trace.get trace i in
-                  if e.Prep.Trace.seqno > 0 then
-                    let cur =
-                      Option.value ~default:0
-                        (Hashtbl.find_opt tbl e.Prep.Trace.tid)
-                    in
-                    if e.Prep.Trace.seqno > cur then
-                      Hashtbl.replace tbl e.Prep.Trace.tid e.Prep.Trace.seqno)
-                report.Prep.Prep_uc.applied;
-              fun tid -> Option.value ~default:0 (Hashtbl.find_opt tbl tid)
-            in
-            violations
-            @ Durable_lin.check_resolutions ~resolutions ~applied_seqno
-        in
-        {
-          crashed = true;
-          vacuous = false;
-          violations;
-          logged;
-          completed = List.length completed;
-          applied = List.length report.Prep.Prep_uc.applied;
-          runtime_ops;
-          end_time = 0;
-        }
-      end
-      else begin
-        (* quiescent run: every logged op completed and the final state
-           must equal the full-trace replay *)
-        let applied = List.init logged (fun i -> i) in
-        let violations =
-          Dl.check ~trace ~prefill:(Uc.prefill_ops uc) ~applied ~completed
-            ~recovered_snapshot:(Uc.snapshot uc) ~loss_bound:0 ()
-        in
-        {
-          crashed = false;
-          vacuous = false;
-          violations;
-          logged;
-          completed = List.length completed;
-          applied = logged;
-          runtime_ops;
-          end_time = !end_time;
-        }
-      end
+      let j =
+        if crashed then begin
+          if cfg.Prep.Config.mode = Prep.Config.Volatile then
+            invalid_arg "Fuzz: volatile episodes cannot crash";
+          Memory.crash mem;
+          S.recover_and_judge uc ~topo:topology ~run:(fun f ->
+              Context.reset ();
+              let sim2 =
+                Sim.create ~seed:(Int64.of_int (ep.workload_seed + 1)) topology
+              in
+              ignore (Sim.spawn sim2 ~socket:0 f);
+              match Sim.run sim2 () with
+              | `Done -> ()
+              | `Cut _ -> failwith "Fuzz: recovery did not finish")
+        end
+        else S.judge_quiescent uc
+      in
+      {
+        crashed;
+        vacuous = false;
+        violations = j.Sut.violations;
+        logged = j.Sut.logged;
+        completed = j.Sut.completed;
+        applied = j.Sut.applied;
+        runtime_ops;
+        end_time = (if crashed then 0 else !end_time);
+      }
 
   (** Fuzz [iters] episodes derived from [template] (whose [crash] field is
       ignored): one calibration run sizes the crash-point space, then each
@@ -300,18 +204,10 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       any episode runs, each episode is a self-contained sim, and the
       results are merged in episode order, so the result and the log are
       byte-identical whatever the runner's parallelism. *)
-  let fuzz ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?persist_policy ~mode ~fault ~gen_op ~template ~iters
+  let fuzz (cfg : Prep.Config.t) ~gen_op ~template ~iters
       ?(log = fun _ -> ())
       ?(runner = fun tasks -> Array.map (fun task -> task ()) tasks) () =
-    let run_episode =
-      run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-        ?persist_policy
-    in
-    let calib =
-      run_episode ~mode ~fault ~gen_op { template with crash = No_crash }
-    in
+    let calib = run_episode cfg ~gen_op { template with crash = No_crash } in
     log
       (Fmt.str "calibration: %d ops logged, %d mem-ops, %d ns"
          calib.logged calib.runtime_ops calib.end_time);
@@ -322,7 +218,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       Array.init iters (fun idx ->
           let i = idx + 1 in
           let crash =
-            if mode = Prep.Config.Volatile then No_crash
+            if cfg.Prep.Config.mode = Prep.Config.Volatile then No_crash
             else if Sim.Rng.bool rng then
               At_op (1 + Sim.Rng.int rng (max 1 calib.runtime_ops))
             else At_time (1 + Sim.Rng.int rng (max 1 calib.end_time))
@@ -330,7 +226,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
           { template with workload_seed = template.workload_seed + i; crash })
     in
     let outs =
-      runner (Array.map (fun ep () -> run_episode ~mode ~fault ~gen_op ep) plan)
+      runner (Array.map (fun ep () -> run_episode cfg ~gen_op ep) plan)
     in
     let failures = ref [] in
     let crashes = ref 0 in
@@ -341,8 +237,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
         if out.violations <> [] then begin
           failures := { episode = ep; violations = out.violations } :: !failures;
           log
-            (Fmt.str "episode %d/%d FAILED (%a): %a" (idx + 1) iters pp_episode
-               ep
+            (Fmt.str "episode %d/%d FAILED (%a): %a" (idx + 1) iters
+               (pp_episode cfg) ep
                Fmt.(list ~sep:comma Durable_lin.pp_violation)
                out.violations)
         end)
@@ -352,14 +248,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
   (** Minimize a failing episode: fewest threads first (re-probing several
       crash points, since fewer threads shift the schedule), then an
       earlier crash point, then less work per worker. *)
-  let shrink ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?persist_policy ~mode ~fault ~gen_op ep =
-    let fails ep =
-      (run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-         ?persist_policy ~mode ~fault ~gen_op ep).violations
-      <> []
-    in
+  let shrink (cfg : Prep.Config.t) ~gen_op ep =
+    let fails ep = (run_episode cfg ~gen_op ep).violations <> [] in
     let scale_crash ep num den =
       match ep.crash with
       | At_op c -> { ep with crash = At_op (max 1 (c * num / den)) }

@@ -149,22 +149,17 @@ let report_to_json r =
   Buffer.contents b
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
-  module F = Fuzz.Make (Ds)
-  module E = Explore.Make (Ds)
+  module F = Fuzz.Make (Sut.Prep_uc (Ds))
+  module E = Explore.Make (Sut.Prep_uc (Ds))
 
   (* Per-(site, primitive) emitted counts from one instrumented run.
      Telemetry recording is cost- and schedule-neutral, so the measured run
      is the same run the fuzz soak replays. *)
-  let measure ?persist_policy ~flags ~mode ~gen_op template =
+  let measure cfg ~gen_op template =
     let reg = Telemetry.Registry.create () in
     let out =
       Telemetry.Registry.with_current reg (fun () ->
-          let flit, dist_rw, log_mirror, slot_bitmap, detect, lsm_ckpt =
-            flags
-          in
-          F.run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-            ~lsm_ckpt ?persist_policy ~mode ~fault:Prep.Config.No_fault
-            ~gen_op
+          F.run_episode cfg ~gen_op
             { template with Fuzz.crash = Fuzz.No_crash })
     in
     let snap = Telemetry.Registry.snapshot reg in
@@ -218,39 +213,14 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
            if w1 <> w2 then compare w2 w1
            else compare (Persist.index s1) (Persist.index s2))
 
-  let spec_of_trial trial = Persist.to_spec trial
-
-  (* Repro command for an explorer rejection: replay the violating decision
-     trace under the one-site policy that produced it. *)
-  let explore_repro ~ds ~mode ~scope ~spec decisions crash =
-    Printf.sprintf
-      "dune exec bin/prep_cli.exe -- explore --variant %s --ds %s --threads \
-       %d --ops %d --epsilon %d --log-size %d --seed %d --sockets %d --cores \
-       %d%s --persist-policy \"%s\" --replay '%s'%s"
-      (Fuzz.variant_name mode) ds scope.Explore.threads
-      scope.Explore.ops_per_worker scope.Explore.epsilon
-      scope.Explore.log_size scope.Explore.seed scope.Explore.sockets
-      scope.Explore.cores_per_socket
-      (if scope.Explore.persistence then "" else " --no-persistence")
-      spec
-      (Explore.decisions_to_string decisions)
-      (match crash with
-       | None -> ""
-       | Some (step, mask) ->
-         Printf.sprintf " --crash-step %d --frontier %d" step mask)
-
   (* Both oracles on one candidate policy. The explorer must exhaust its
      scope clean; the fuzz soak must match the baseline crash-free run and
      survive its crash plan. *)
-  let check ~flags ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds
+  let check cfg ~fuzz_cfg ~gen_op ~scope ~budget ~template ~fuzz_iters ~ds
       ~baseline trial =
-    let flit, dist_rw, log_mirror, slot_bitmap, detect, lsm_ckpt = flags in
-    let spec = spec_of_trial trial in
-    let eres =
-      E.explore ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-        ~persist_policy:trial ~budget ~mode ~fault:Prep.Config.No_fault
-        ~gen_op ~scope ()
-    in
+    let cfg = { cfg with Prep.Config.persist_policy = Some trial } in
+    let fuzz_cfg = { fuzz_cfg with Prep.Config.persist_policy = Some trial } in
+    let eres = E.explore ~budget cfg ~gen_op ~scope () in
     match eres.Explore.violation with
     | Some v ->
       let desc =
@@ -259,15 +229,13 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       ( Rejected_explorer desc,
         Some
-          (explore_repro ~ds ~mode ~scope ~spec v.Explore.v_decisions
+          (Repro.explore ~name_fault:false ~ds cfg scope v.Explore.v_decisions
              v.Explore.v_crash) )
     | None when not eres.Explore.exhausted -> (Unproven, None)
     | None ->
       (* differential: crash-free semantics must be byte-identical *)
       let out =
-        F.run_episode ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect
-          ~lsm_ckpt ~persist_policy:trial ~mode ~fault:Prep.Config.No_fault
-          ~gen_op
+        F.run_episode fuzz_cfg ~gen_op
           { template with Fuzz.crash = Fuzz.No_crash }
       in
       let same (a : Fuzz.outcome) (b : Fuzz.outcome) =
@@ -278,34 +246,30 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       in
       if not (same out baseline) then (Rejected_differential, None)
       else begin
-        let fres =
-          F.fuzz ~flit ~dist_rw ~log_mirror ~slot_bitmap ~detect ~lsm_ckpt
-            ~persist_policy:trial ~mode ~fault:Prep.Config.No_fault ~gen_op
-            ~template ~iters:fuzz_iters ()
-        in
+        let fres = F.fuzz fuzz_cfg ~gen_op ~template ~iters:fuzz_iters () in
         match fres.Fuzz.failures with
         | [] -> (Admitted, None)
         | f :: _ ->
-          let repro =
-            Fuzz.repro_command ~flit ~dist_rw ~log_mirror ~slot_bitmap
-              ~detect ~lsm_ckpt ~persist_policy:trial ~mode
-              ~fault:Prep.Config.No_fault ~ds f.Fuzz.episode
-          in
-          ( Rejected_fuzz (Format.asprintf "%a" Fuzz.pp_episode f.Fuzz.episode),
-            Some repro )
+          ( Rejected_fuzz
+              (Format.asprintf "%a" (Fuzz.pp_episode fuzz_cfg) f.Fuzz.episode),
+            Some (Repro.fuzz ~ds fuzz_cfg f.Fuzz.episode) )
       end
 
-  (** Run the full inference: measure, rank, greedily weaken, prove.
-      [scope]/[budget] bound the explorer oracle; [template]/[fuzz_iters]
-      drive the measurement run and the fuzz soak; [ds] names the data
-      structure in emitted repro commands. Returns the proven policy and
-      the full decision log. *)
-  let infer ?(flit = false) ?(dist_rw = false) ?(log_mirror = false)
-      ?(slot_bitmap = false) ?(detect = false) ?(lsm_ckpt = false)
-      ?(log = fun (_ : string) -> ()) ~mode ~gen_op ~scope ~budget ~template
-      ~fuzz_iters ~ds () =
-    let flags = (flit, dist_rw, log_mirror, slot_bitmap, detect, lsm_ckpt) in
-    let baseline, table = measure ~flags ~mode ~gen_op template in
+  (** Run the full inference for [cfg] (its fault must be [No_fault]; its
+      policy is the starting point — normally none): measure, rank,
+      greedily weaken, prove. [scope]/[budget] bound the explorer oracle,
+      which runs [cfg] itself; [template]/[fuzz_iters] drive the
+      measurement run and the fuzz soak, which run [cfg] at the larger
+      [fuzz_epsilon]/[fuzz_log_size]; [ds] names the data structure in
+      emitted repro commands. Returns the proven policy and the full
+      decision log. *)
+  let infer ?(log = fun (_ : string) -> ()) (cfg : Prep.Config.t) ~gen_op
+      ~scope ~budget ~template ~fuzz_epsilon ~fuzz_log_size ~fuzz_iters ~ds ()
+      =
+    let fuzz_cfg =
+      { cfg with Prep.Config.epsilon = fuzz_epsilon; log_size = fuzz_log_size }
+    in
+    let baseline, table = measure fuzz_cfg ~gen_op template in
     if baseline.Fuzz.violations <> [] then
       invalid_arg
         "Persist_infer: baseline run violates durable linearizability — \
@@ -342,8 +306,8 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
                  (Persist.action_to_string action)
                  weight);
             let verdict, repro =
-              check ~flags ~mode ~gen_op ~scope ~budget ~template ~fuzz_iters
-                ~ds ~baseline trial
+              check cfg ~fuzz_cfg ~gen_op ~scope ~budget ~template
+                ~fuzz_iters ~ds ~baseline trial
             in
             record
               { d_site = site; d_action = action; d_weight = weight;
@@ -369,7 +333,9 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       cands;
     (* re-measure the same workload under the proven policy *)
     let _, ptable =
-      measure ~persist_policy:policy ~flags ~mode ~gen_op template
+      measure
+        { fuzz_cfg with Prep.Config.persist_policy = Some policy }
+        ~gen_op template
     in
     let pol_flush = total flush_metrics ptable in
     let pol_fence = total fence_metrics ptable in

@@ -11,7 +11,7 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 module H = Seqds.Hashmap
-module F = Check.Fuzz.Make (H)
+module F = Check.Fuzz.Make (Check.Sut.Prep_uc (H))
 module S = Harness.Session.Make (H)
 module Campaign = Harness.Campaign
 
@@ -69,32 +69,33 @@ let gen_op rng =
   | 6 | 7 | 8 -> (H.op_get, [| k |])
   | _ -> (H.op_size, [||])
 
-let template ~seed ~epsilon ~ops =
+let template ~seed ~ops =
   {
     Check.Fuzz.workload_seed = seed;
     threads = 6;
-    epsilon;
-    log_size = 256;
     ops_per_worker = ops;
     bg_period = 2000;
     preempt_prob = 0.02;
     crash = Check.Fuzz.No_crash;
   }
 
-let fuzz_at ~j ~mode ~fault ~template ~iters =
+let cfg ~epsilon mode fault =
+  Config.make ~mode ~log_size:256 ~epsilon ~fault ~workers:6 ()
+
+let fuzz_at ~j cfg ~template ~iters =
   let lines = ref [] in
   let res =
-    F.fuzz ~mode ~fault ~gen_op ~template ~iters
+    F.fuzz cfg ~gen_op ~template ~iters
       ~log:(fun l -> lines := l :: !lines)
       ~runner:(Campaign.run ~j) ()
   in
   (res, List.rev !lines)
 
 let test_fuzz_parallel_identical () =
-  let template = template ~seed:4200 ~epsilon:16 ~ops:120 in
-  let mode = Config.Buffered and fault = Config.No_fault in
-  let serial, slog = fuzz_at ~j:1 ~mode ~fault ~template ~iters:8 in
-  let parallel, plog = fuzz_at ~j:4 ~mode ~fault ~template ~iters:8 in
+  let template = template ~seed:4200 ~ops:120 in
+  let cfg = cfg ~epsilon:16 Config.Buffered Config.No_fault in
+  let serial, slog = fuzz_at ~j:1 cfg ~template ~iters:8 in
+  let parallel, plog = fuzz_at ~j:4 cfg ~template ~iters:8 in
   check "same episodes" serial.Check.Fuzz.episodes
     parallel.Check.Fuzz.episodes;
   check "same crashes" serial.Check.Fuzz.crashes parallel.Check.Fuzz.crashes;
@@ -109,10 +110,10 @@ let test_fuzz_parallel_identical () =
    in episode order, so parallelism cannot change which failure is
    "first". *)
 let test_fuzz_counterexample_equivalence () =
-  let mode = Config.Buffered and fault = Config.Early_boundary_advance in
-  let template = template ~seed:9000 ~epsilon:8 ~ops:120 in
-  let serial, slog = fuzz_at ~j:1 ~mode ~fault ~template ~iters:8 in
-  let parallel, plog = fuzz_at ~j:4 ~mode ~fault ~template ~iters:8 in
+  let cfg = cfg ~epsilon:8 Config.Buffered Config.Early_boundary_advance in
+  let template = template ~seed:9000 ~ops:120 in
+  let serial, slog = fuzz_at ~j:1 cfg ~template ~iters:8 in
+  let parallel, plog = fuzz_at ~j:4 cfg ~template ~iters:8 in
   check_bool "planted fault caught serially" true
     (serial.Check.Fuzz.failures <> []);
   check_bool "identical failure lists" true
@@ -124,14 +125,14 @@ let test_fuzz_counterexample_equivalence () =
   in
   check_bool "identical first counterexample" true
     (first_serial = first_parallel);
-  let shrunk_serial = F.shrink ~mode ~fault ~gen_op first_serial in
-  let shrunk_parallel = F.shrink ~mode ~fault ~gen_op first_parallel in
+  let shrunk_serial = F.shrink cfg ~gen_op first_serial in
+  let shrunk_parallel = F.shrink cfg ~gen_op first_parallel in
   check_bool
-    (Fmt.str "identical shrunk episode (%a)" Check.Fuzz.pp_episode
+    (Fmt.str "identical shrunk episode (%a)" (Check.Fuzz.pp_episode cfg)
        shrunk_serial)
     true
     (shrunk_serial = shrunk_parallel);
-  let out = F.run_episode ~mode ~fault ~gen_op shrunk_serial in
+  let out = F.run_episode cfg ~gen_op shrunk_serial in
   check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> [])
 
 (* ---- session campaigns through the runner ---- *)

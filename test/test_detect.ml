@@ -14,7 +14,7 @@ let check_bool = Alcotest.(check bool)
 
 module H = Seqds.Hashmap
 module Uc = Prep_uc.Make (H)
-module F = Check.Fuzz.Make (H)
+module F = Check.Fuzz.Make (Check.Sut.Prep_uc (H))
 module S = Harness.Session.Make (H)
 
 let gen_op rng =
@@ -273,8 +273,6 @@ let template ~seed ~ops =
   {
     Check.Fuzz.workload_seed = seed;
     threads = 4;
-    epsilon = 16;
-    log_size = 256;
     ops_per_worker = ops;
     bg_period = 2000;
     preempt_prob = 0.02;
@@ -287,14 +285,12 @@ let test_detect_invisible_without_crash () =
      stream is a pure function of the seed) the layer must not change
      which ops are logged, completed or applied — announces and
      responses only add memory traffic, never semantics *)
-  let base =
-    F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
-      (template ~seed:31 ~ops:120)
+  let base_cfg =
+    Config.make ~mode:Config.Durable ~log_size:256 ~epsilon:16 ~workers:4 ()
   in
-  let det =
-    F.run_episode ~detect:true ~mode:Config.Durable ~fault:Config.No_fault
-      ~gen_op (template ~seed:31 ~ops:120)
-  in
+  let det_cfg = { base_cfg with Config.detect = true } in
+  let base = F.run_episode base_cfg ~gen_op (template ~seed:31 ~ops:120) in
+  let det = F.run_episode det_cfg ~gen_op (template ~seed:31 ~ops:120) in
   check "no-crash base clean" 0 (List.length base.Check.Fuzz.violations);
   check "no-crash detect clean" 0 (List.length det.Check.Fuzz.violations);
   let calib =
@@ -302,11 +298,8 @@ let test_detect_invisible_without_crash () =
       Check.Fuzz.threads = 1;
       preempt_prob = 0.0 }
   in
-  let a = F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op calib in
-  let b =
-    F.run_episode ~detect:true ~mode:Config.Durable ~fault:Config.No_fault
-      ~gen_op calib
-  in
+  let a = F.run_episode base_cfg ~gen_op calib in
+  let b = F.run_episode det_cfg ~gen_op calib in
   check "calibration: same logged" a.Check.Fuzz.logged b.Check.Fuzz.logged;
   check "calibration: same completed" a.Check.Fuzz.completed
     b.Check.Fuzz.completed;

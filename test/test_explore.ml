@@ -11,7 +11,7 @@ open Prep
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-module E = Check.Explore.Make (Seqds.Hashmap)
+module E = Check.Explore.Make (Check.Sut.Prep_uc (Seqds.Hashmap))
 module H = Seqds.Hashmap
 
 (* Same op mix as the CLI explore workload; the seeds below were picked
@@ -33,21 +33,22 @@ let scope_1w =
     Check.Explore.seed = 6;
     threads = 1;
     ops_per_worker = 2;
-    epsilon = 1;
-    log_size = 16;
     sockets = 2;
     cores_per_socket = 1;
     prune = true;
     persistence = true;
   }
 
+(* the scope's configuration: epsilon 1 over a 16-entry log; the gated
+   layers are switched on by record update *)
+let cfg ?(fault = Config.No_fault) mode =
+  Config.make ~mode ~log_size:16 ~epsilon:1 ~fault ~workers:1 ()
+
 let budget =
   { Check.Explore.default_budget with Check.Explore.max_schedules = 20_000 }
 
-let explore ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ?(budget = budget) ?(scope = scope_1w) mode fault =
-  E.explore ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-    ?lsm_fanout ~budget ~mode ~fault ~gen_op ~scope ()
+let explore ?(budget = budget) ?(scope = scope_1w) cfg =
+  E.explore ~budget cfg ~gen_op ~scope ()
 
 let exhausted_clean label (res : Check.Explore.result) =
   check_bool (label ^ ": no violation") true
@@ -59,17 +60,13 @@ let exhausted_clean label (res : Check.Explore.result) =
 (* A violation's decision trace must replay to the same violation — the
    round-trip through the textual run-length encoding included, because
    that is what the CLI repro command ships. *)
-let replay_reproduces ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect
-    ?lsm_ckpt ?lsm_fanout label mode fault scope
-    (v : Check.Explore.violation) =
+let replay_reproduces label cfg scope (v : Check.Explore.violation) =
   let decisions =
     Check.Explore.decisions_of_string
       (Check.Explore.decisions_to_string v.Check.Explore.v_decisions)
   in
   let violations, crashed, logged, completed, applied =
-    E.replay ?flit ?dist_rw ?log_mirror ?slot_bitmap ?detect ?lsm_ckpt
-      ?lsm_fanout ~mode ~fault ~gen_op ~scope ~decisions
-      ?crash:v.Check.Explore.v_crash ()
+    E.replay cfg ~gen_op ~scope ~decisions ?crash:v.Check.Explore.v_crash ()
   in
   check_bool (label ^ ": replay violates") true (violations <> []);
   check_bool (label ^ ": replay crashed") true
@@ -88,7 +85,8 @@ let test_early_boundary_found () =
   (* boundary advanced before the flush+swap: completed ops race a full
      window ahead of the stable checkpoint, so a crash can lose 2 ops
      against the epsilon+beta-1 = 1 bound *)
-  let res = explore Config.Buffered Config.Early_boundary_advance in
+  let cfg = cfg ~fault:Config.Early_boundary_advance Config.Buffered in
+  let res = explore cfg in
   match res.Check.Explore.violation with
   | None -> Alcotest.fail "early-boundary fault not found within budget"
   | Some v ->
@@ -96,37 +94,37 @@ let test_early_boundary_found () =
       (List.exists is_loss_bound v.Check.Explore.v_violations);
     check_bool "found at a crash frontier" true
       (v.Check.Explore.v_crash <> None);
-    replay_reproduces "early-boundary" Config.Buffered
-      Config.Early_boundary_advance scope_1w v
+    replay_reproduces "early-boundary" cfg scope_1w v
 
 let test_elide_ct_flush_found () =
   (* durable mode promises zero loss; eliding the completedTail flush
      loses the tail on crash and recovery drops a completed op *)
-  let res = explore Config.Durable Config.Elide_ct_flush in
+  let cfg = cfg ~fault:Config.Elide_ct_flush Config.Durable in
+  let res = explore cfg in
   match res.Check.Explore.violation with
   | None -> Alcotest.fail "elide-ct-flush fault not found within budget"
   | Some v ->
     check_bool "found as loss-bound violation" true
       (List.exists is_loss_bound v.Check.Explore.v_violations);
-    replay_reproduces "elide-ct-flush" Config.Durable Config.Elide_ct_flush
-      scope_1w v
+    replay_reproduces "elide-ct-flush" cfg scope_1w v
 
 let test_mirror_read_found () =
   (* recovery served from the DRAM log mirror, which the crash zeroed:
      durably completed ops read as holes and are dropped *)
-  let res =
-    explore ~log_mirror:true Config.Durable Config.Mirror_read_on_recovery
+  let cfg =
+    { (cfg ~fault:Config.Mirror_read_on_recovery Config.Durable) with
+      Config.log_mirror = true }
   in
+  let res = explore cfg in
   match res.Check.Explore.violation with
   | None -> Alcotest.fail "mirror-read fault not found within budget"
   | Some v ->
-    replay_reproduces ~log_mirror:true "mirror-read" Config.Durable
-      Config.Mirror_read_on_recovery scope_1w v
+    replay_reproduces "mirror-read" cfg scope_1w v
 
 (* ---- determinism: same scope, same budget => identical outcome ---- *)
 
 let test_exploration_deterministic () =
-  let run () = explore Config.Durable Config.Elide_ct_flush in
+  let run () = explore (cfg ~fault:Config.Elide_ct_flush Config.Durable) in
   let a = run () and b = run () in
   match (a.Check.Explore.violation, b.Check.Explore.violation) with
   | Some va, Some vb ->
@@ -142,7 +140,7 @@ let test_exploration_deterministic () =
 (* ---- no-fault scopes explore clean ---- *)
 
 let buffered_clean =
-  lazy (explore Config.Buffered Config.No_fault)
+  lazy (explore (cfg Config.Buffered))
 
 let test_no_fault_buffered_exhausts () =
   let res = Lazy.force buffered_clean in
@@ -155,7 +153,7 @@ let test_no_fault_buffered_exhausts () =
     (List.length res.Check.Explore.terminal_states)
 
 let test_no_fault_flit_exhausts () =
-  let res = explore ~flit:true Config.Buffered Config.No_fault in
+  let res = explore { (cfg Config.Buffered) with Config.flit = true } in
   exhausted_clean "flit" res
 
 (* Full NUMA hot-path package (distributed reader locks, DRAM log
@@ -164,8 +162,10 @@ let test_no_fault_flit_exhausts () =
    flag-equivalence test below. *)
 let package_clean =
   lazy
-    (explore ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
-       Config.Durable Config.No_fault)
+    (explore
+       { (cfg Config.Durable) with
+         Config.flit = true; dist_rw = true; log_mirror = true;
+         slot_bitmap = true })
 
 let test_no_fault_package_exhausts () =
   let res = Lazy.force package_clean in
@@ -179,8 +179,8 @@ let test_loss_bound_tight () =
   (* three update ops against a bound of 2: exhaustive search must
      exhibit a crash losing exactly 2 completed ops (the bound is
      attained) and none losing more (the bound holds) *)
-  let scope = { scope_1w with Check.Explore.ops_per_worker = 3; epsilon = 2 } in
-  let res = explore ~scope Config.Buffered Config.No_fault in
+  let scope = { scope_1w with Check.Explore.ops_per_worker = 3 } in
+  let res = explore ~scope { (cfg Config.Buffered) with Config.epsilon = 2 } in
   exhausted_clean "tightness" res;
   check "worst crash loses exactly epsilon+beta-1 = 2" 2
     res.Check.Explore.stats.Check.Explore.max_completed_loss
@@ -195,9 +195,17 @@ let test_pruning_reduction () =
      still does not exhaust — measured at >10x on schedules and >20x on
      distinct states for both the one-op and two-op scopes. *)
   let scope = { scope_1w with Check.Explore.ops_per_worker = 1 } in
-  let pruned = explore ~scope Config.Buffered Config.No_fault in
+  let pruned = explore ~scope (cfg Config.Buffered) in
   exhausted_clean "pruned one-op scope" pruned;
   let ps = pruned.Check.Explore.stats in
+  (* Exact figures of this scope (the CLI's verify scope): refactors of
+     the engine must leave exploration byte-identical, so any drift here
+     is a behaviour change, not noise. *)
+  check "schedules" 3897 ps.Check.Explore.schedules;
+  check "terminals" 125 ps.Check.Explore.terminals;
+  check "steps" 242417 ps.Check.Explore.steps;
+  check "states" 1628 ps.Check.Explore.states;
+  check "recoveries" 69 ps.Check.Explore.recoveries;
   check_bool "sleep sets fired" true (ps.Check.Explore.sleep_skips > 0);
   check_bool "state dedup fired" true (ps.Check.Explore.dedup_hits > 0);
   let naive =
@@ -205,7 +213,7 @@ let test_pruning_reduction () =
       ~budget:
         { budget with Check.Explore.max_schedules = ps.Check.Explore.schedules }
       ~scope:{ scope with Check.Explore.prune = false }
-      Config.Buffered Config.No_fault
+      (cfg Config.Buffered)
   in
   check_bool "naive finds no violation either" true
     (naive.Check.Explore.violation = None);
@@ -232,19 +240,19 @@ let equivalent label base opt =
   check_bool (label ^ ": same terminal states") true
     (base.Check.Explore.terminal_states = opt.Check.Explore.terminal_states)
 
-let durable_base = lazy (explore Config.Durable Config.No_fault)
+let durable_base = lazy (explore (cfg Config.Durable))
 
 let test_equiv_dist_rw () =
   equivalent "dist-rw" (Lazy.force durable_base)
-    (explore ~dist_rw:true Config.Durable Config.No_fault)
+    (explore { (cfg Config.Durable) with Config.dist_rw = true })
 
 let test_equiv_log_mirror () =
   equivalent "log-mirror" (Lazy.force durable_base)
-    (explore ~log_mirror:true Config.Durable Config.No_fault)
+    (explore { (cfg Config.Durable) with Config.log_mirror = true })
 
 let test_equiv_slot_bitmap () =
   equivalent "slot-bitmap" (Lazy.force durable_base)
-    (explore ~slot_bitmap:true Config.Durable Config.No_fault)
+    (explore { (cfg Config.Durable) with Config.slot_bitmap = true })
 
 let test_equiv_combined () =
   equivalent "combined" (Lazy.force durable_base) (Lazy.force package_clean)
@@ -261,12 +269,10 @@ let test_equiv_two_thread_budgeted () =
       Check.Explore.seed = 1;
       threads = 2;
       ops_per_worker = 3;
-      epsilon = 2;
-      log_size = 16;
       sockets = 2;
       cores_per_socket = 2;
       prune = true;
-    persistence = true;
+      persistence = true;
     }
   in
   let budget =
@@ -275,8 +281,9 @@ let test_equiv_two_thread_budgeted () =
   List.iter
     (fun (label, dist_rw, log_mirror, slot_bitmap) ->
       let res =
-        explore ~dist_rw ~log_mirror ~slot_bitmap ~budget ~scope Config.Durable
-          Config.No_fault
+        explore ~budget ~scope
+          { (cfg Config.Durable) with
+            Config.epsilon = 2; dist_rw; log_mirror; slot_bitmap }
       in
       check_bool (label ^ ": no violation in budget") true
         (res.Check.Explore.violation = None);
@@ -303,7 +310,7 @@ let test_equiv_two_thread_budgeted () =
    resolves on. *)
 
 let test_detect_scope_exhausts () =
-  let res = explore ~detect:true Config.Durable Config.No_fault in
+  let res = explore { (cfg Config.Durable) with Config.detect = true } in
   exhausted_clean "detect" res;
   check "durable+detect: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss;
@@ -323,18 +330,19 @@ let test_detect_two_thread_budgeted () =
       Check.Explore.seed = 1;
       threads = 2;
       ops_per_worker = 2;
-      epsilon = 2;
-      log_size = 16;
       sockets = 2;
       cores_per_socket = 2;
       prune = true;
-    persistence = true;
+      persistence = true;
     }
   in
   let budget =
     { Check.Explore.default_budget with Check.Explore.max_schedules = 1_500 }
   in
-  let res = explore ~detect:true ~budget ~scope Config.Durable Config.No_fault in
+  let res =
+    explore ~budget ~scope
+      { (cfg Config.Durable) with Config.epsilon = 2; detect = true }
+  in
   check_bool "no violation in budget" true
     (res.Check.Explore.violation = None);
   check "durable+detect: no loss at any explored crash" 0
@@ -347,9 +355,11 @@ let test_detect_response_fault_found () =
      the explorer must find a frontier where a response promises an op
      the replayed log cannot back, deterministically, and the decision
      trace must replay to the same violation *)
-  let res =
-    explore ~detect:true Config.Durable Config.Response_before_log_persist
+  let cfg =
+    { (cfg ~fault:Config.Response_before_log_persist Config.Durable) with
+      Config.detect = true }
   in
+  let res = explore cfg in
   match res.Check.Explore.violation with
   | None ->
     Alcotest.fail "response-before-log-persist fault not found within budget"
@@ -364,8 +374,7 @@ let test_detect_response_fault_found () =
            | Check.Durable_lin.Prefix_violation _ -> true
            | _ -> false)
          v.Check.Explore.v_violations);
-    replay_reproduces ~detect:true "response-before-log-persist"
-      Config.Durable Config.Response_before_log_persist scope_1w v
+    replay_reproduces "response-before-log-persist" cfg scope_1w v
 
 (* ---- incremental (lsm) checkpointing ----
 
@@ -381,11 +390,11 @@ let lsm_budget =
      without masking a blow-up *)
   { Check.Explore.default_budget with Check.Explore.max_schedules = 100_000 }
 
+let lsm_cfg fault =
+  { (cfg ~fault Config.Durable) with Config.lsm_ckpt = true; lsm_fanout = 2 }
+
 let test_lsm_scope_exhausts () =
-  let res =
-    explore ~lsm_ckpt:true ~lsm_fanout:2 ~budget:lsm_budget Config.Durable
-      Config.No_fault
-  in
+  let res = explore ~budget:lsm_budget (lsm_cfg Config.No_fault) in
   exhausted_clean "lsm" res;
   check "durable: no completed op ever lost" 0
     res.Check.Explore.stats.Check.Explore.max_completed_loss
@@ -395,10 +404,8 @@ let test_manifest_before_seal_found () =
      still dirty: the explorer must find a crash frontier that keeps the
      record and drops the segments, losing sealed effects recovery no
      longer replays (sealed_lt already skips their log entries) *)
-  let res =
-    explore ~lsm_ckpt:true ~lsm_fanout:2 ~budget:lsm_budget Config.Durable
-      Config.Manifest_before_segment_seal
-  in
+  let cfg = lsm_cfg Config.Manifest_before_segment_seal in
+  let res = explore ~budget:lsm_budget cfg in
   match res.Check.Explore.violation with
   | None -> Alcotest.fail "manifest-before-seal fault not found within budget"
   | Some v ->
@@ -412,8 +419,7 @@ let test_manifest_before_seal_found () =
            | Check.Durable_lin.State_mismatch _ -> true
            | _ -> false)
          v.Check.Explore.v_violations);
-    replay_reproduces ~lsm_ckpt:true ~lsm_fanout:2 "manifest-before-seal"
-      Config.Durable Config.Manifest_before_segment_seal scope_1w v
+    replay_reproduces "manifest-before-seal" cfg scope_1w v
 
 (* ---- decision-trace encoding ---- *)
 

@@ -10,7 +10,7 @@ open Prep
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-module F = Check.Fuzz.Make (Seqds.Hashmap)
+module F = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Hashmap))
 module H = Seqds.Hashmap
 
 (* Same mix as the CLI fuzz workload: 60% updates over a small key range. *)
@@ -29,65 +29,105 @@ let gen_op rng =
    scheduler), so a run's outcome and its cost are identical on every
    machine and CI never flakes on load. The bounded-exhaustive
    counterpart with the same property lives in test_explore.ml. *)
-let template ~seed ~epsilon ~ops =
+let template ~seed ~ops =
   {
     Check.Fuzz.workload_seed = seed;
     threads = 6;
-    epsilon;
-    log_size = 256;
     ops_per_worker = ops;
     bg_period = 2000;
     preempt_prob = 0.02;
     crash = Check.Fuzz.No_crash;
   }
 
-let no_failures label (res : Check.Fuzz.result) =
+(* the fuzzed construction over a 256-entry log; the gated layers are
+   switched on by record update *)
+let cfg ?(fault = Config.No_fault) ?(epsilon = 16) mode =
+  Config.make ~mode ~log_size:256 ~epsilon ~fault ~workers:6 ()
+
+let no_failures label cfg (res : Check.Fuzz.result) =
   List.iter
     (fun { Check.Fuzz.episode; violations } ->
       Alcotest.failf "%s: %s failed: %s" label
-        (Fmt.str "%a" Check.Fuzz.pp_episode episode)
+        (Fmt.str "%a" (Check.Fuzz.pp_episode cfg) episode)
         (String.concat "; "
            (List.map Check.Durable_lin.violation_to_string violations)))
     res.Check.Fuzz.failures
 
-let test_fuzz_buffered () =
-  let res =
-    F.fuzz ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op
-      ~template:(template ~seed:4200 ~epsilon:16 ~ops:120)
-      ~iters:10 ()
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
-  no_failures "buffered" res;
+  go 0
+
+(* A planted fault must be caught, shrink to <= 4 threads and replay from
+   scratch; the printed repro must name the fault and every flag the
+   failing run had. *)
+let caught_and_shrunk cfg ~tpl ~is_expected ~flag =
+  let res = F.fuzz cfg ~gen_op ~template:tpl ~iters:8 () in
+  check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
+  let first = List.hd res.Check.Fuzz.failures in
+  check_bool "caught as the expected violation" true
+    (List.exists is_expected first.Check.Fuzz.violations);
+  let small = F.shrink cfg ~gen_op first.Check.Fuzz.episode in
+  check_bool
+    (Fmt.str "shrunk to <= 4 threads (%a)" (Check.Fuzz.pp_episode cfg) small)
+    true
+    (small.Check.Fuzz.threads <= 4);
+  (* the shrunk episode, replayed from scratch, still reproduces *)
+  let out = F.run_episode cfg ~gen_op small in
+  check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
+  let cmd = Check.Repro.fuzz ~ds:"hashmap" cfg small in
+  check_bool "repro names the fault" true
+    (contains cmd (Config.fault_name cfg.Config.fault));
+  Option.iter
+    (fun flag -> check_bool ("repro passes " ^ flag) true (contains cmd flag))
+    flag
+
+let is_loss_bound = function
+  | Check.Durable_lin.Loss_bound_exceeded _ -> true
+  | _ -> false
+
+let is_durable_loss = function
+  | Check.Durable_lin.Loss_bound_exceeded _
+  | Check.Durable_lin.Prefix_violation _
+  | Check.Durable_lin.State_mismatch _ -> true
+  | _ -> false
+
+let test_fuzz_buffered () =
+  let cfg = cfg Config.Buffered in
+  let res =
+    F.fuzz cfg ~gen_op ~template:(template ~seed:4200 ~ops:120) ~iters:10 ()
+  in
+  no_failures "buffered" cfg res;
   check "episodes run" 10 res.Check.Fuzz.episodes;
   check_bool "crash points were explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_fuzz_durable () =
+  let cfg = cfg Config.Durable in
   let res =
-    F.fuzz ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
-      ~template:(template ~seed:5200 ~epsilon:16 ~ops:120)
-      ~iters:10 ()
+    F.fuzz cfg ~gen_op ~template:(template ~seed:5200 ~ops:120) ~iters:10 ()
   in
-  no_failures "durable" res;
+  no_failures "durable" cfg res;
   check_bool "crash points were explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_fuzz_volatile () =
   (* volatile episodes never crash; the harness still checks quiescent
      state against the full-trace replay under randomized preemption *)
+  let cfg = cfg Config.Volatile in
   let res =
-    F.fuzz ~mode:Config.Volatile ~fault:Config.No_fault ~gen_op
-      ~template:(template ~seed:6200 ~epsilon:16 ~ops:120)
-      ~iters:4 ()
+    F.fuzz cfg ~gen_op ~template:(template ~seed:6200 ~ops:120) ~iters:4 ()
   in
-  no_failures "volatile" res;
+  no_failures "volatile" cfg res;
   check "no crashes in volatile mode" 0 res.Check.Fuzz.crashes
 
 let test_episode_deterministic () =
   (* the same episode must produce bit-identical outcomes — repro commands
      and the shrinker rely on this *)
   let ep =
-    { (template ~seed:777 ~epsilon:16 ~ops:100) with
-      crash = Check.Fuzz.At_op 200_000 }
+    { (template ~seed:777 ~ops:100) with crash = Check.Fuzz.At_op 200_000 }
   in
-  let run () = F.run_episode ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op ep in
+  let run () = F.run_episode (cfg Config.Buffered) ~gen_op ep in
   let a = run () and b = run () in
   check_bool "crashed" true a.Check.Fuzz.crashed;
   check "same logged" a.Check.Fuzz.logged b.Check.Fuzz.logged;
@@ -98,16 +138,14 @@ let test_episode_deterministic () =
 
 let test_crash_hook_cuts_at_op () =
   (* an op-index crash must actually cut the run short *)
-  let quiescent =
-    F.run_episode ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op
-      (template ~seed:888 ~epsilon:16 ~ops:100)
-  in
+  let cfg = cfg Config.Buffered in
+  let quiescent = F.run_episode cfg ~gen_op (template ~seed:888 ~ops:100) in
   check_bool "baseline finishes" false quiescent.Check.Fuzz.crashed;
   let ep =
-    { (template ~seed:888 ~epsilon:16 ~ops:100) with
+    { (template ~seed:888 ~ops:100) with
       crash = Check.Fuzz.At_op (quiescent.Check.Fuzz.runtime_ops / 2) }
   in
-  let out = F.run_episode ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op ep in
+  let out = F.run_episode cfg ~gen_op ep in
   check_bool "crashed mid-run" true out.Check.Fuzz.crashed;
   check_bool "partial trace" true
     (out.Check.Fuzz.logged < quiescent.Check.Fuzz.logged);
@@ -117,84 +155,71 @@ let test_broken_variant_caught_and_shrunk () =
   (* the known-bad ordering (flush boundary advanced before the persist +
      swap) must be detected within a small budget and shrink to <= 4
      threads with a replayable repro *)
-  let mode = Config.Buffered and fault = Config.Early_boundary_advance in
-  let tpl = template ~seed:9000 ~epsilon:8 ~ops:120 in
-  let res = F.fuzz ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
-  check_bool "broken variant caught" true (res.Check.Fuzz.failures <> []);
-  let first = List.hd res.Check.Fuzz.failures in
-  check_bool "caught as a loss-bound violation" true
-    (List.exists
-       (function Check.Durable_lin.Loss_bound_exceeded _ -> true | _ -> false)
-       first.Check.Fuzz.violations);
-  let small = F.shrink ~mode ~fault ~gen_op first.Check.Fuzz.episode in
-  check_bool
-    (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
-    true
-    (small.Check.Fuzz.threads <= 4);
-  (* the shrunk episode, replayed from scratch, still reproduces *)
-  let out = F.run_episode ~mode ~fault ~gen_op small in
-  check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> [])
+  caught_and_shrunk
+    (cfg ~fault:Config.Early_boundary_advance ~epsilon:8 Config.Buffered)
+    ~tpl:(template ~seed:9000 ~ops:120) ~is_expected:is_loss_bound ~flag:None
 
 let test_fixed_variant_passes_where_broken_fails () =
   (* same episodes, fault removed: the violations must disappear, pinning
      the failure on the injected bug rather than on the harness *)
-  let tpl = template ~seed:9000 ~epsilon:8 ~ops:120 in
+  let cfg = cfg ~epsilon:8 Config.Buffered in
   let res =
-    F.fuzz ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op ~template:tpl
-      ~iters:8 ()
+    F.fuzz cfg ~gen_op ~template:(template ~seed:9000 ~ops:120) ~iters:8 ()
   in
-  no_failures "fixed variant" res
+  no_failures "fixed variant" cfg res
 
-(* ---- differential fuzzing of the flush-elimination layer ---- *)
+(* ---- differential fuzzing of the gated layers ----
 
-let test_fuzz_flit_differential () =
-  (* same seeded crash-point budget with the flush-elimination layer off
-     and on: the durable-linearizability checker must find the two
-     variants indistinguishable (zero violations on both sides). The
-     schedules themselves may diverge — elided flushes change simulated
-     time — so the comparison is at the level of the checked guarantees,
-     not raw traces. *)
-  let tpl = template ~seed:5200 ~epsilon:16 ~ops:120 in
-  let base =
-    F.fuzz ~mode:Config.Durable ~fault:Config.No_fault ~gen_op ~template:tpl
-      ~iters:10 ()
-  in
-  let flit =
-    F.fuzz ~flit:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
-      ~template:tpl ~iters:10 ()
-  in
-  no_failures "baseline" base;
-  no_failures "flit" flit;
-  check "same episode budget" base.Check.Fuzz.episodes flit.Check.Fuzz.episodes;
-  check_bool "flit crash points explored" true (flit.Check.Fuzz.crashes > 0);
-  (* calibration: with one worker, no crash and no randomized preemption
-     the op stream is a pure function of the seed (preemption draws from
-     the scheduler rng on every tick, and flit changes the tick count, so
-     it would shift the fiber rng seeding), so both variants must log and
-     complete the exact same operations *)
+   Each layer gets the same seeded crash-point budget with the flag off
+   and on, and the durable-linearizability checker must find the
+   variants indistinguishable (zero violations on both sides). The
+   schedules themselves may diverge — the layers change the memory-op
+   stream and so simulated time — so the comparison is at the level of
+   the checked guarantees, plus a single-worker preemption-free
+   calibration: there the op stream is a pure function of the seed
+   (preemption draws from the scheduler rng on every tick, and the
+   layers change the tick count, so it would shift the fiber rng
+   seeding), so both variants must log and complete the exact same
+   operations. *)
+
+let calibrate label tpl ~base layered =
   let calib =
     { tpl with
       Check.Fuzz.threads = 1;
       ops_per_worker = 80;
       preempt_prob = 0.0 }
   in
-  let a = F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op calib in
-  let b =
-    F.run_episode ~flit:true ~mode:Config.Durable ~fault:Config.No_fault
-      ~gen_op calib
-  in
-  check "calibration: same logged" a.Check.Fuzz.logged b.Check.Fuzz.logged;
-  check "calibration: same completed" a.Check.Fuzz.completed
+  let a = F.run_episode base ~gen_op calib in
+  let b = F.run_episode layered ~gen_op calib in
+  check (label ^ ": same logged") a.Check.Fuzz.logged b.Check.Fuzz.logged;
+  check (label ^ ": same completed") a.Check.Fuzz.completed
     b.Check.Fuzz.completed;
-  check "calibration: same applied" a.Check.Fuzz.applied b.Check.Fuzz.applied
+  check (label ^ ": same applied") a.Check.Fuzz.applied b.Check.Fuzz.applied
+
+(* [layered] against the durable baseline at the same epsilon *)
+let differential label ~seed ?(epsilon = 16) ?(iters = 10) layered =
+  let tpl = template ~seed ~ops:120 in
+  let base = cfg ~epsilon Config.Durable in
+  let base_res = F.fuzz base ~gen_op ~template:tpl ~iters () in
+  let opt = F.fuzz layered ~gen_op ~template:tpl ~iters () in
+  no_failures "baseline" base base_res;
+  no_failures label layered opt;
+  check "same episode budget" base_res.Check.Fuzz.episodes
+    opt.Check.Fuzz.episodes;
+  check_bool (label ^ " crash points explored") true
+    (opt.Check.Fuzz.crashes > 0);
+  calibrate "calibration" tpl ~base layered
+
+let test_fuzz_flit_differential () =
+  differential "flit" ~seed:5200
+    { (cfg Config.Durable) with Config.flit = true }
 
 let test_fuzz_flit_buffered () =
+  let cfg = { (cfg Config.Buffered) with Config.flit = true } in
   let res =
-    F.fuzz ~flit:true ~mode:Config.Buffered ~fault:Config.No_fault ~gen_op
-      ~template:(template ~seed:4200 ~epsilon:16 ~ops:120)
-      ~iters:10 ()
+    F.fuzz cfg ~gen_op ~template:(template ~seed:4200 ~ops:120) ~iters:10 ()
   in
-  no_failures "flit buffered" res;
+  no_failures "flit buffered" cfg res;
   check_bool "crash points were explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_flit_elide_ct_flush_caught_and_shrunk () =
@@ -202,34 +227,15 @@ let test_flit_elide_ct_flush_caught_and_shrunk () =
      combiner otherwise relies on the flush-tracking layer to elide
      safely; the fuzzer must catch the resulting post-crash loss of
      completed operations and shrink it to a small replayable repro *)
-  let mode = Config.Durable and fault = Config.Elide_ct_flush in
-  let tpl = template ~seed:9100 ~epsilon:16 ~ops:120 in
-  let res = F.fuzz ~flit:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
-  check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
-  let first = List.hd res.Check.Fuzz.failures in
-  check_bool "caught as durable loss" true
-    (List.exists
-       (function
-         | Check.Durable_lin.Loss_bound_exceeded _
-         | Check.Durable_lin.Prefix_violation _ -> true
-         | _ -> false)
-       first.Check.Fuzz.violations);
-  let small = F.shrink ~flit:true ~mode ~fault ~gen_op first.Check.Fuzz.episode in
-  check_bool
-    (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
-    true
-    (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~flit:true ~mode ~fault ~gen_op small in
-  check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
-  (* the printed repro must carry both the fault and the flit flag *)
-  let cmd = Check.Fuzz.repro_command ~flit:true ~mode ~fault ~ds:"hashmap" small in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "repro names the fault" true (contains cmd "elide-ct-flush");
-  check_bool "repro passes --flit" true (contains cmd "--flit")
+  caught_and_shrunk
+    { (cfg ~fault:Config.Elide_ct_flush Config.Durable) with
+      Config.flit = true }
+    ~tpl:(template ~seed:9100 ~ops:120)
+    ~is_expected:(function
+      | Check.Durable_lin.Loss_bound_exceeded _
+      | Check.Durable_lin.Prefix_violation _ -> true
+      | _ -> false)
+    ~flag:(Some "--flit")
 
 let test_flit_fault_needs_flit_combiner () =
   (* without the flush-elimination layer the baseline combiner issues
@@ -239,141 +245,60 @@ let test_flit_fault_needs_flit_combiner () =
      the fault elides a flush the durable guarantee depends on in both
      combiners. Running it pins the fault's blast radius. *)
   let res =
-    F.fuzz ~mode:Config.Durable ~fault:Config.Elide_ct_flush ~gen_op
-      ~template:(template ~seed:9100 ~epsilon:16 ~ops:120)
-      ~iters:8 ()
+    F.fuzz (cfg ~fault:Config.Elide_ct_flush Config.Durable) ~gen_op
+      ~template:(template ~seed:9100 ~ops:120) ~iters:8 ()
   in
   check_bool "fault observable without flit too" true
     (res.Check.Fuzz.failures <> [])
 
-(* ---- differential fuzzing of the NUMA hot-path package ----
-
-   Same methodology as the flit campaigns: each optimisation gets the same
-   seeded crash-point budget with the flag off and on, and the
-   durable-linearizability checker must find the variants
-   indistinguishable. Schedules diverge (the optimisations change the
-   memory-op stream and so simulated time), so the comparison is at the
-   level of the checked guarantees, plus a single-worker
-   preemption-free calibration where the op streams are bit-identical. *)
-
-let calibrate label tpl run_opt =
-  let calib =
-    { tpl with
-      Check.Fuzz.threads = 1;
-      ops_per_worker = 80;
-      preempt_prob = 0.0 }
-  in
-  let a =
-    F.run_episode ~mode:Config.Durable ~fault:Config.No_fault ~gen_op calib
-  in
-  let b = run_opt calib in
-  check (label ^ ": same logged") a.Check.Fuzz.logged b.Check.Fuzz.logged;
-  check (label ^ ": same completed") a.Check.Fuzz.completed
-    b.Check.Fuzz.completed;
-  check (label ^ ": same applied") a.Check.Fuzz.applied b.Check.Fuzz.applied
-
 let test_fuzz_mirror_differential () =
-  let tpl = template ~seed:5300 ~epsilon:16 ~ops:120 in
-  let base =
-    F.fuzz ~mode:Config.Durable ~fault:Config.No_fault ~gen_op ~template:tpl
-      ~iters:10 ()
-  in
-  let mir =
-    F.fuzz ~log_mirror:true ~mode:Config.Durable ~fault:Config.No_fault
-      ~gen_op ~template:tpl ~iters:10 ()
-  in
-  no_failures "baseline" base;
-  no_failures "log-mirror" mir;
-  check "same episode budget" base.Check.Fuzz.episodes mir.Check.Fuzz.episodes;
-  check_bool "mirror crash points explored" true (mir.Check.Fuzz.crashes > 0);
-  calibrate "calibration" tpl
-    (F.run_episode ~log_mirror:true ~mode:Config.Durable
-       ~fault:Config.No_fault ~gen_op)
+  differential "log-mirror" ~seed:5300
+    { (cfg Config.Durable) with Config.log_mirror = true }
 
 let test_fuzz_dist_rw_differential () =
-  let tpl = template ~seed:5400 ~epsilon:16 ~ops:120 in
-  let base =
-    F.fuzz ~mode:Config.Durable ~fault:Config.No_fault ~gen_op ~template:tpl
-      ~iters:10 ()
-  in
-  let dist =
-    F.fuzz ~dist_rw:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
-      ~template:tpl ~iters:10 ()
-  in
-  no_failures "baseline" base;
-  no_failures "dist-rw" dist;
-  check "same episode budget" base.Check.Fuzz.episodes dist.Check.Fuzz.episodes;
-  check_bool "dist-rw crash points explored" true (dist.Check.Fuzz.crashes > 0);
-  calibrate "calibration" tpl
-    (F.run_episode ~dist_rw:true ~mode:Config.Durable ~fault:Config.No_fault
-       ~gen_op)
+  differential "dist-rw" ~seed:5400
+    { (cfg Config.Durable) with Config.dist_rw = true }
 
 let test_fuzz_package_differential () =
   (* the shipping configuration: everything on at once, over buffered mode
      as well so the epsilon+beta-1 loss bound is exercised too *)
-  let tpl = template ~seed:5500 ~epsilon:16 ~ops:120 in
+  let package mode =
+    { (cfg mode) with
+      Config.flit = true;
+      dist_rw = true;
+      log_mirror = true;
+      slot_bitmap = true }
+  in
+  let tpl = template ~seed:5500 ~ops:120 in
   List.iter
     (fun mode ->
-      let res =
-        F.fuzz ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
-          ~mode ~fault:Config.No_fault ~gen_op ~template:tpl ~iters:10 ()
-      in
-      no_failures "package" res;
+      let cfg = package mode in
+      let res = F.fuzz cfg ~gen_op ~template:tpl ~iters:10 () in
+      no_failures "package" cfg res;
       check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0))
     [ Config.Buffered; Config.Durable ];
-  calibrate "calibration" tpl
-    (F.run_episode ~flit:true ~dist_rw:true ~log_mirror:true ~slot_bitmap:true
-       ~mode:Config.Durable ~fault:Config.No_fault ~gen_op)
+  calibrate "calibration" tpl ~base:(cfg Config.Durable)
+    (package Config.Durable)
 
 let test_mirror_read_recovery_caught_and_shrunk () =
   (* the planted fault serves recovery's log replay from the DRAM mirror —
      volatile, zeroed by the crash — so durably completed operations read
      as holes and are dropped; the fuzzer must catch the durable loss and
      shrink it to a replayable repro *)
-  let mode = Config.Durable and fault = Config.Mirror_read_on_recovery in
-  let tpl = template ~seed:9300 ~epsilon:16 ~ops:40 in
-  let res =
-    F.fuzz ~log_mirror:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 ()
-  in
-  check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
-  let first = List.hd res.Check.Fuzz.failures in
-  check_bool "caught as durable loss" true
-    (List.exists
-       (function
-         | Check.Durable_lin.Loss_bound_exceeded _
-         | Check.Durable_lin.Prefix_violation _
-         | Check.Durable_lin.State_mismatch _ -> true
-         | _ -> false)
-       first.Check.Fuzz.violations);
-  let small =
-    F.shrink ~log_mirror:true ~mode ~fault ~gen_op first.Check.Fuzz.episode
-  in
-  check_bool
-    (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
-    true
-    (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~log_mirror:true ~mode ~fault ~gen_op small in
-  check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
-  let cmd =
-    Check.Fuzz.repro_command ~log_mirror:true ~mode ~fault ~ds:"hashmap" small
-  in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "repro names the fault" true (contains cmd "mirror-read-recovery");
-  check_bool "repro passes --log-mirror" true (contains cmd "--log-mirror")
+  caught_and_shrunk
+    { (cfg ~fault:Config.Mirror_read_on_recovery Config.Durable) with
+      Config.log_mirror = true }
+    ~tpl:(template ~seed:9300 ~ops:40) ~is_expected:is_durable_loss
+    ~flag:(Some "--log-mirror")
 
 let test_mirror_fault_inert_without_mirror () =
   (* without the mirror there is nothing volatile to read from: the fault
      flag must be a no-op, pinning the failure above on the mirror itself *)
+  let cfg = cfg ~fault:Config.Mirror_read_on_recovery Config.Durable in
   let res =
-    F.fuzz ~mode:Config.Durable ~fault:Config.Mirror_read_on_recovery ~gen_op
-      ~template:(template ~seed:9300 ~epsilon:16 ~ops:40)
-      ~iters:8 ()
+    F.fuzz cfg ~gen_op ~template:(template ~seed:9300 ~ops:40) ~iters:8 ()
   in
-  no_failures "fault without mirror" res
+  no_failures "fault without mirror" cfg res
 
 (* ---- detectability layer ----
 
@@ -383,12 +308,11 @@ let test_mirror_fault_inert_without_mirror () =
    entries they answer for — must be caught and shrunk. *)
 
 let test_fuzz_detect_clean () =
+  let cfg = { (cfg Config.Durable) with Config.detect = true } in
   let res =
-    F.fuzz ~detect:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
-      ~template:(template ~seed:5600 ~epsilon:16 ~ops:120)
-      ~iters:10 ()
+    F.fuzz cfg ~gen_op ~template:(template ~seed:5600 ~ops:120) ~iters:10 ()
   in
-  no_failures "detect" res;
+  no_failures "detect" cfg res;
   check_bool "detect crash points explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_response_before_log_persist_caught_and_shrunk () =
@@ -397,37 +321,16 @@ let test_response_before_log_persist_caught_and_shrunk () =
      leaves a response promising seqno s with no durable log entry to back
      it, which recovery surfaces as a resolve mismatch (Completed claimed,
      op not applied) or as completed-op loss *)
-  let mode = Config.Durable and fault = Config.Response_before_log_persist in
-  let tpl = template ~seed:9400 ~epsilon:16 ~ops:60 in
-  let res = F.fuzz ~detect:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
-  check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
-  let first = List.hd res.Check.Fuzz.failures in
-  check_bool "caught as resolve mismatch or durable loss" true
-    (List.exists
-       (function
-         | Check.Durable_lin.Resolve_mismatch _
-         | Check.Durable_lin.Loss_bound_exceeded _
-         | Check.Durable_lin.Prefix_violation _ -> true
-         | _ -> false)
-       first.Check.Fuzz.violations);
-  let small = F.shrink ~detect:true ~mode ~fault ~gen_op first.Check.Fuzz.episode in
-  check_bool
-    (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
-    true
-    (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~detect:true ~mode ~fault ~gen_op small in
-  check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
-  let cmd =
-    Check.Fuzz.repro_command ~detect:true ~mode ~fault ~ds:"hashmap" small
-  in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "repro names the fault" true
-    (contains cmd "response-before-log-persist");
-  check_bool "repro passes --detect" true (contains cmd "--detect")
+  caught_and_shrunk
+    { (cfg ~fault:Config.Response_before_log_persist Config.Durable) with
+      Config.detect = true }
+    ~tpl:(template ~seed:9400 ~ops:60)
+    ~is_expected:(function
+      | Check.Durable_lin.Resolve_mismatch _
+      | Check.Durable_lin.Loss_bound_exceeded _
+      | Check.Durable_lin.Prefix_violation _ -> true
+      | _ -> false)
+    ~flag:(Some "--detect")
 
 let test_response_fault_requires_detect () =
   (* without the detectability layer there are no response records to
@@ -450,7 +353,7 @@ let test_response_fault_requires_detect () =
 
 (* A second data structure through the same harness: the fuzzing oracle is
    the pure model, so any Ds_intf.S implementation plugs in. *)
-module Fq = Check.Fuzz.Make (Seqds.Queue_ds)
+module Fq = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Queue_ds))
 
 let queue_gen rng =
   if Sim.Rng.int rng 2 = 0 then
@@ -458,18 +361,12 @@ let queue_gen rng =
   else (Seqds.Queue_ds.op_dequeue, [||])
 
 let test_fuzz_queue_durable () =
+  let cfg = cfg Config.Durable in
   let res =
-    Fq.fuzz ~mode:Config.Durable ~fault:Config.No_fault ~gen_op:queue_gen
-      ~template:(template ~seed:7300 ~epsilon:16 ~ops:120)
+    Fq.fuzz cfg ~gen_op:queue_gen ~template:(template ~seed:7300 ~ops:120)
       ~iters:6 ()
   in
-  List.iter
-    (fun { Check.Fuzz.episode; violations } ->
-      Alcotest.failf "queue: %s failed: %s"
-        (Fmt.str "%a" Check.Fuzz.pp_episode episode)
-        (String.concat "; "
-           (List.map Check.Durable_lin.violation_to_string violations)))
-    res.Check.Fuzz.failures
+  no_failures "queue" cfg res
 
 (* ---- incremental (lsm) checkpointing ----
 
@@ -481,80 +378,42 @@ let test_fuzz_queue_durable () =
    published *before* the segments it names are sealed — must be caught
    and shrunk to a replayable repro that carries both flags. *)
 
-module Frb = Check.Fuzz.Make (Seqds.Rbtree)
-module Fsl = Check.Fuzz.Make (Seqds.Skiplist)
+module Frb = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Rbtree))
+module Fsl = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Skiplist))
+
+let lsm_cfg ?fault mode =
+  { (cfg ?fault ~epsilon:8 mode) with Config.lsm_ckpt = true }
 
 let test_fuzz_lsm_differential () =
-  let tpl = template ~seed:5700 ~epsilon:8 ~ops:120 in
-  let base =
-    F.fuzz ~mode:Config.Durable ~fault:Config.No_fault ~gen_op ~template:tpl
-      ~iters:8 ()
-  in
-  let lsm =
-    F.fuzz ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault ~gen_op
-      ~template:tpl ~iters:8 ()
-  in
-  no_failures "baseline" base;
-  no_failures "lsm" lsm;
-  check "same episode budget" base.Check.Fuzz.episodes lsm.Check.Fuzz.episodes;
-  check_bool "lsm crash points explored" true (lsm.Check.Fuzz.crashes > 0);
-  calibrate "calibration" tpl
-    (F.run_episode ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault
-       ~gen_op)
+  differential "lsm" ~seed:5700 ~epsilon:8 ~iters:8 (lsm_cfg Config.Durable)
 
 let test_fuzz_lsm_all_maps () =
   (* the dirty tracker keys on Ds.classify, so each map implementation's
      key_effect wiring is load-bearing; buffered mode rides along to cover
      the no-replay recovery path *)
-  let tpl = template ~seed:5800 ~epsilon:8 ~ops:100 in
-  let run label res =
-    no_failures label res;
+  let tpl = template ~seed:5800 ~ops:100 in
+  let run label cfg res =
+    no_failures label cfg res;
     check_bool (label ^ ": crash points explored") true
       (res.Check.Fuzz.crashes > 0)
   in
-  run "lsm rbtree"
-    (Frb.fuzz ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault
-       ~gen_op ~template:tpl ~iters:6 ());
-  run "lsm skiplist"
-    (Fsl.fuzz ~lsm_ckpt:true ~mode:Config.Durable ~fault:Config.No_fault
-       ~gen_op ~template:tpl ~iters:6 ());
-  run "lsm buffered hashmap"
-    (F.fuzz ~lsm_ckpt:true ~mode:Config.Buffered ~fault:Config.No_fault
-       ~gen_op ~template:tpl ~iters:6 ())
+  let durable = lsm_cfg Config.Durable and buffered = lsm_cfg Config.Buffered in
+  run "lsm rbtree" durable
+    (Frb.fuzz durable ~gen_op ~template:tpl ~iters:6 ());
+  run "lsm skiplist" durable
+    (Fsl.fuzz durable ~gen_op ~template:tpl ~iters:6 ());
+  run "lsm buffered hashmap" buffered
+    (F.fuzz buffered ~gen_op ~template:tpl ~iters:6 ())
 
 let test_manifest_before_seal_caught_and_shrunk () =
   (* the planted fault names segment addresses in a durable manifest
      record before their bodies are sealed: a crash in the window mounts
      nothing at those addresses while sealed_lt already skips their log
      entries, so recovery silently loses sealed effects *)
-  let mode = Config.Durable and fault = Config.Manifest_before_segment_seal in
-  let tpl = template ~seed:9400 ~epsilon:8 ~ops:120 in
-  let res = F.fuzz ~lsm_ckpt:true ~mode ~fault ~gen_op ~template:tpl ~iters:8 () in
-  check_bool "planted fault caught" true (res.Check.Fuzz.failures <> []);
-  let first = List.hd res.Check.Fuzz.failures in
-  check_bool "caught as durable loss" true
-    (List.exists
-       (function
-         | Check.Durable_lin.Loss_bound_exceeded _
-         | Check.Durable_lin.Prefix_violation _
-         | Check.Durable_lin.State_mismatch _ -> true
-         | _ -> false)
-       first.Check.Fuzz.violations);
-  let small = F.shrink ~lsm_ckpt:true ~mode ~fault ~gen_op first.Check.Fuzz.episode in
-  check_bool
-    (Fmt.str "shrunk to <= 4 threads (%a)" Check.Fuzz.pp_episode small)
-    true
-    (small.Check.Fuzz.threads <= 4);
-  let out = F.run_episode ~lsm_ckpt:true ~mode ~fault ~gen_op small in
-  check_bool "shrunk repro still fails" true (out.Check.Fuzz.violations <> []);
-  let cmd = Check.Fuzz.repro_command ~lsm_ckpt:true ~mode ~fault ~ds:"hashmap" small in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "repro names the fault" true (contains cmd "manifest-before-seal");
-  check_bool "repro passes --lsm-ckpt" true (contains cmd "--lsm-ckpt")
+  caught_and_shrunk
+    (lsm_cfg ~fault:Config.Manifest_before_segment_seal Config.Durable)
+    ~tpl:(template ~seed:9400 ~ops:120) ~is_expected:is_durable_loss
+    ~flag:(Some "--lsm-ckpt")
 
 let test_lsm_config_rejections () =
   (* the config layer pins the lsm flag combinations that have no

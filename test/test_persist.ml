@@ -213,8 +213,8 @@ let test_split_counter () =
    fault-detection scope (seed 6 draws updates only). ---- *)
 
 module H = Seqds.Hashmap
-module E = Check.Explore.Make (H)
-module F = Check.Fuzz.Make (H)
+module E = Check.Explore.Make (Check.Sut.Prep_uc (H))
+module F = Check.Fuzz.Make (Check.Sut.Prep_uc (H))
 
 let gen_op rng =
   let k = Sim.Rng.int rng 64 in
@@ -229,8 +229,6 @@ let scope_1w =
     Check.Explore.seed = 6;
     threads = 1;
     ops_per_worker = 2;
-    epsilon = 1;
-    log_size = 16;
     sockets = 2;
     cores_per_socket = 1;
     prune = true;
@@ -240,11 +238,15 @@ let scope_1w =
 let budget =
   { Check.Explore.default_budget with Check.Explore.max_schedules = 20_000 }
 
+(* the explorer scope's configuration: epsilon 1 over a 16-entry log *)
+let scope_cfg =
+  Prep.Config.make ~mode:Prep.Config.Durable ~log_size:16 ~epsilon:1
+    ~workers:1 ()
+
 let explore_policy spec =
-  E.explore
-    ~persist_policy:(policy_of_spec spec)
-    ~budget ~mode:Prep.Config.Durable ~fault:Prep.Config.No_fault ~gen_op
-    ~scope:scope_1w ()
+  E.explore ~budget
+    { scope_cfg with Prep.Config.persist_policy = Some (policy_of_spec spec) }
+    ~gen_op ~scope:scope_1w ()
 
 let rejected label (res : Check.Explore.result) =
   match res.Check.Explore.violation with
@@ -280,56 +282,53 @@ let template ~seed =
   {
     Check.Fuzz.workload_seed = seed;
     threads = 4;
-    epsilon = 8;
-    log_size = 128;
     ops_per_worker = 80;
     bg_period = 2000;
     preempt_prob = 0.02;
     crash = Check.Fuzz.No_crash;
   }
 
+(* the soak's configuration: epsilon 8 over a 128-entry log *)
+let soak_cfg ?policy () =
+  Prep.Config.make ~mode:Prep.Config.Durable ~log_size:128 ~epsilon:8
+    ?persist_policy:policy ~workers:4 ()
+
 (* all three map structures share the hashmap's op codes, so one
    generator drives each functor instantiation *)
 let fuzz_clean run label seed =
-  let res = run (policy_of_spec proven) (template ~seed) in
+  let cfg = soak_cfg ~policy:(policy_of_spec proven) () in
+  let res = run cfg (template ~seed) in
   check (label ^ ": episodes run") 10 res.Check.Fuzz.episodes;
   List.iter
     (fun { Check.Fuzz.episode; violations } ->
       Alcotest.failf "%s: %s -> %d violations" label
-        (Fmt.str "%a" Check.Fuzz.pp_episode episode)
+        (Fmt.str "%a" (Check.Fuzz.pp_episode cfg) episode)
         (List.length violations))
     res.Check.Fuzz.failures
 
-module Frb = Check.Fuzz.Make (Seqds.Rbtree)
-module Fsl = Check.Fuzz.Make (Seqds.Skiplist)
+module Frb = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Rbtree))
+module Fsl = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Skiplist))
 
 let test_fuzz_hashmap () =
   fuzz_clean
-    (fun p t ->
-      F.fuzz ~persist_policy:p ~mode:Prep.Config.Durable
-        ~fault:Prep.Config.No_fault ~gen_op ~template:t ~iters:10 ())
+    (fun cfg t -> F.fuzz cfg ~gen_op ~template:t ~iters:10 ())
     "hashmap" 7100
 
 let test_fuzz_rbtree () =
   fuzz_clean
-    (fun p t ->
-      Frb.fuzz ~persist_policy:p ~mode:Prep.Config.Durable
-        ~fault:Prep.Config.No_fault ~gen_op ~template:t ~iters:10 ())
+    (fun cfg t -> Frb.fuzz cfg ~gen_op ~template:t ~iters:10 ())
     "rbtree" 7200
 
 let test_fuzz_skiplist () =
   fuzz_clean
-    (fun p t ->
-      Fsl.fuzz ~persist_policy:p ~mode:Prep.Config.Durable
-        ~fault:Prep.Config.No_fault ~gen_op ~template:t ~iters:10 ())
+    (fun cfg t -> Fsl.fuzz cfg ~gen_op ~template:t ~iters:10 ())
     "skiplist" 7300
 
 let test_differential_crash_free () =
   (* a policy that only removes redundant persistency must not change
      crash-free results: same logged/completed/applied as the baseline *)
   let run policy =
-    F.run_episode ?persist_policy:policy ~mode:Prep.Config.Durable
-      ~fault:Prep.Config.No_fault ~gen_op (template ~seed:7400)
+    F.run_episode (soak_cfg ?policy ()) ~gen_op (template ~seed:7400)
   in
   let a = run None and b = run (Some (policy_of_spec proven)) in
   check_bool "baseline clean" true (a.Check.Fuzz.violations = []);
@@ -344,10 +343,10 @@ module PI = Check.Persist_infer.Make (H)
 
 let test_infer_end_to_end () =
   let report =
-    PI.infer ~mode:Prep.Config.Durable ~gen_op ~scope:scope_1w ~budget
+    PI.infer scope_cfg ~gen_op ~scope:scope_1w ~budget
       ~template:{ (template ~seed:6) with Check.Fuzz.threads = 1;
                   ops_per_worker = 60 }
-      ~fuzz_iters:6 ~ds:"hashmap" ()
+      ~fuzz_epsilon:8 ~fuzz_log_size:128 ~fuzz_iters:6 ~ds:"hashmap" ()
   in
   let ws = Persist.weakenings report.Check.Persist_infer.r_policy in
   check_bool "at least one weakening admitted" true (ws <> []);

@@ -9,8 +9,14 @@ let check_bool = Alcotest.(check bool)
 
 module H = Seqds.Hashmap
 module S = Sharded_uc.Make (Seqds.Hashmap)
-module FS = Check.Fuzz_shard.Make (Seqds.Hashmap)
-module ES = Check.Explore_shard.Make (Seqds.Hashmap)
+module FS = Check.Fuzz.Make (Check.Sut.Sharded_uc (Seqds.Hashmap))
+module ES = Check.Explore.Make (Check.Sut.Sharded_uc (Seqds.Hashmap))
+
+(* the sharded construction the checkers drive (sharding is durable-only) *)
+let shard_cfg ?(fault = Config.No_fault) ?(epsilon = 16) ?(log_size = 256)
+    nshards =
+  Config.make ~mode:Config.Durable ~log_size ~epsilon ~shards:nshards ~fault
+    ~workers:1 ()
 
 let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
 
@@ -160,55 +166,59 @@ let template ~seed ~ops =
   {
     Check.Fuzz.workload_seed = seed;
     threads = 6;
-    epsilon = 16;
-    log_size = 256;
     ops_per_worker = ops;
     bg_period = 2000;
     preempt_prob = 0.02;
     crash = Check.Fuzz.No_crash;
   }
 
-let no_failures label (res : Check.Fuzz.result) =
+let no_failures label cfg (res : Check.Fuzz.result) =
   List.iter
     (fun { Check.Fuzz.episode; violations } ->
       Alcotest.failf "%s: %s failed: %s" label
-        (Fmt.str "%a" Check.Fuzz.pp_episode episode)
+        (Fmt.str "%a" (Check.Fuzz.pp_episode cfg) episode)
         (String.concat "; "
            (List.map Check.Durable_lin.violation_to_string violations)))
     res.Check.Fuzz.failures
 
 let campaign ~seed ~nshards ~multi_pct ~cross_pct ~iters =
-  FS.fuzz ~nshards ~fault:Config.No_fault
-    ~gen_op:(gen_sharded ~nshards ~multi_pct ~cross_pct)
-    ~template:(template ~seed ~ops:100) ~iters ()
+  let cfg = shard_cfg nshards in
+  let res =
+    FS.fuzz cfg
+      ~gen_op:(gen_sharded ~nshards ~multi_pct ~cross_pct)
+      ~template:(template ~seed ~ops:100) ~iters ()
+  in
+  (cfg, res)
 
 let test_fuzz_single_key () =
-  let res = campaign ~seed:8100 ~nshards:4 ~multi_pct:0 ~cross_pct:0 ~iters:8 in
-  no_failures "0% multi" res;
+  let cfg, res =
+    campaign ~seed:8100 ~nshards:4 ~multi_pct:0 ~cross_pct:0 ~iters:8
+  in
+  no_failures "0% multi" cfg res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_fuzz_cross_10 () =
-  let res =
+  let cfg, res =
     campaign ~seed:8200 ~nshards:4 ~multi_pct:10 ~cross_pct:100 ~iters:8
   in
-  no_failures "10% multi, all cross" res;
+  no_failures "10% multi, all cross" cfg res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
 
 let test_fuzz_cross_50 () =
-  let res =
+  let cfg, res =
     campaign ~seed:8300 ~nshards:2 ~multi_pct:50 ~cross_pct:50 ~iters:8
   in
-  no_failures "50% multi on 2 shards" res;
+  no_failures "50% multi on 2 shards" cfg res;
   check_bool "crash points explored" true (res.Check.Fuzz.crashes > 0)
 
 (* ---- the planted commit-ordering fault ---- *)
 
 let test_fuzz_catches_planted_fault () =
   let nshards = 4 in
+  let cfg = shard_cfg ~fault:Config.Commit_before_prepare_persist nshards in
   let gen_op = gen_sharded ~nshards ~multi_pct:40 ~cross_pct:100 in
   let res =
-    FS.fuzz ~nshards ~fault:Config.Commit_before_prepare_persist ~gen_op
-      ~template:(template ~seed:8400 ~ops:100) ~iters:20 ()
+    FS.fuzz cfg ~gen_op ~template:(template ~seed:8400 ~ops:100) ~iters:20 ()
   in
   check_bool "planted commit-before-prepare fault caught" true
     (res.Check.Fuzz.failures <> []);
@@ -222,27 +232,22 @@ let test_fuzz_catches_planted_fault () =
          | _ -> false)
        f.Check.Fuzz.violations);
   (* and it shrinks to a smaller reproducible episode *)
-  let small =
-    FS.shrink ~nshards ~fault:Config.Commit_before_prepare_persist ~gen_op
-      f.Check.Fuzz.episode
-  in
+  let small = FS.shrink cfg ~gen_op f.Check.Fuzz.episode in
   check_bool "shrunk episode still fails" true
-    ((FS.run_episode ~nshards ~fault:Config.Commit_before_prepare_persist
-        ~gen_op small)
-       .Check.Fuzz.violations
-    <> []);
+    ((FS.run_episode cfg ~gen_op small).Check.Fuzz.violations <> []);
   check_bool "shrunk is no bigger" true
     (small.Check.Fuzz.threads <= f.Check.Fuzz.episode.Check.Fuzz.threads)
 
 let test_fault_inert_without_multis () =
   (* with no multi-key ops there are no transactions, so the planted
      fault has nothing to break *)
+  let cfg = shard_cfg ~fault:Config.Commit_before_prepare_persist 2 in
   let res =
-    FS.fuzz ~nshards:2 ~fault:Config.Commit_before_prepare_persist
+    FS.fuzz cfg
       ~gen_op:(gen_sharded ~nshards:2 ~multi_pct:0 ~cross_pct:0)
       ~template:(template ~seed:8500 ~ops:100) ~iters:6 ()
   in
-  no_failures "fault inert without transactions" res
+  no_failures "fault inert without transactions" cfg res
 
 (* ---- bounded exhaustive exploration ---- *)
 
@@ -251,8 +256,6 @@ let explore_scope =
     Check.Explore.seed = 3;
     threads = 2;
     ops_per_worker = 1;
-    epsilon = 2;
-    log_size = 16;
     sockets = 2;
     cores_per_socket = 2;
     prune = true;
@@ -270,10 +273,12 @@ let gen_explore rng =
   | 2 -> (H.op_get, [| k |])
   | _ -> (Sharded_uc.op_transfer, [| k; k + 3; 1 |])
 
+(* the explore scope's configuration: epsilon 2 over a 16-entry log *)
+let explore_cfg ?fault () = shard_cfg ?fault ~epsilon:2 ~log_size:16 2
+
 let test_explore_2shard_clean () =
   let res =
-    ES.explore ~nshards:2 ~fault:Config.No_fault ~gen_op:gen_explore
-      ~scope:explore_scope ()
+    ES.explore (explore_cfg ()) ~gen_op:gen_explore ~scope:explore_scope ()
   in
   (match res.Check.Explore.violation with
    | None -> ()
@@ -286,7 +291,15 @@ let test_explore_2shard_clean () =
   check_bool "reached terminals" true
     (res.Check.Explore.stats.Check.Explore.terminals > 0);
   check_bool "crash frontiers judged" true
-    (res.Check.Explore.stats.Check.Explore.frontiers > 0)
+    (res.Check.Explore.stats.Check.Explore.frontiers > 0);
+  (* Exact figures of this scope: refactors of the engine must leave
+     exploration byte-identical, so any drift here is a behaviour change,
+     not noise. *)
+  let st = res.Check.Explore.stats in
+  check "schedules" 1336 st.Check.Explore.schedules;
+  check "steps" 50381 st.Check.Explore.steps;
+  check "states" 795 st.Check.Explore.states;
+  check "recoveries" 9 st.Check.Explore.recoveries
 
 let test_explore_finds_planted_fault () =
   (* one worker issuing two cross-shard multi-puts (keys 0 and 1 hash to
@@ -297,10 +310,8 @@ let test_explore_finds_planted_fault () =
     { explore_scope with Check.Explore.threads = 1; ops_per_worker = 2 }
   in
   let gen _rng = (Sharded_uc.op_multi_put, [| 0; 1; 5 |]) in
-  let res =
-    ES.explore ~nshards:2 ~fault:Config.Commit_before_prepare_persist
-      ~gen_op:gen ~scope ()
-  in
+  let cfg = explore_cfg ~fault:Config.Commit_before_prepare_persist () in
+  let res = ES.explore cfg ~gen_op:gen ~scope () in
   match res.Check.Explore.violation with
   | None -> Alcotest.fail "planted commit-before-prepare fault not found"
   | Some v ->
@@ -315,8 +326,7 @@ let test_explore_finds_planted_fault () =
       (v.Check.Explore.v_crash <> None);
     (* the decision trace + crash point replays to the same verdict *)
     let violations, crashed, _, _, _ =
-      ES.replay ~nshards:2 ~fault:Config.Commit_before_prepare_persist
-        ~gen_op:gen ~scope ~decisions:v.Check.Explore.v_decisions
+      ES.replay cfg ~gen_op:gen ~scope ~decisions:v.Check.Explore.v_decisions
         ?crash:v.Check.Explore.v_crash ()
     in
     check_bool "replay crashed" true crashed;

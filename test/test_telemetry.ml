@@ -317,7 +317,7 @@ let test_experiment_phase_coverage () =
 
 (* ---- zero-divergence: differential crash-point fuzzing ---- *)
 
-module F = Check.Fuzz.Make (Seqds.Hashmap)
+module F = Check.Fuzz.Make (Check.Sut.Prep_uc (Seqds.Hashmap))
 
 let gen_op rng =
   let k = Sim.Rng.int rng 64 in
@@ -331,8 +331,6 @@ let episode crash =
   {
     Check.Fuzz.workload_seed = 7;
     threads = 4;
-    epsilon = 16;
-    log_size = 256;
     ops_per_worker = 60;
     bg_period = 2000;
     preempt_prob = 0.02;
@@ -350,6 +348,10 @@ let outcome_tuple (o : Check.Fuzz.outcome) =
     List.length o.Check.Fuzz.violations )
 
 let test_fuzz_differential_telemetry_on_off () =
+  let cfg =
+    Prep.Config.make ~mode:Prep.Config.Durable ~log_size:256 ~epsilon:16
+      ~workers:4 ()
+  in
   let crash_points =
     [ Check.Fuzz.No_crash; Check.Fuzz.At_op 500; Check.Fuzz.At_op 2500;
       Check.Fuzz.At_time 300_000 ]
@@ -358,16 +360,14 @@ let test_fuzz_differential_telemetry_on_off () =
     (fun crash ->
       let ep = episode crash in
       let run () =
-        outcome_tuple
-          (F.run_episode ~mode:Prep.Config.Durable ~fault:Prep.Config.No_fault
-             ~gen_op ep)
+        outcome_tuple (F.run_episode cfg ~gen_op ep)
       in
       R.set_current None;
       let off = run () in
       let reg = R.create ~tracing:true () in
       let on = R.with_current reg run in
       check_bool
-        (Fmt.str "identical outcome for %a" Check.Fuzz.pp_episode ep)
+        (Fmt.str "identical outcome for %a" (Check.Fuzz.pp_episode cfg) ep)
         true (off = on);
       (* the instrumented run actually recorded something *)
       check_bool "telemetry saw the episode" true
