@@ -144,23 +144,6 @@ let smoke_scale =
     warmup_ns = 300_000;
   }
 
-let json_of_counters counters =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters)
-  ^ "}"
-
-let json_of_result (r : Experiment.result) =
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": %s}|}
-    r.Experiment.system r.Experiment.workload r.Experiment.workers
-    r.Experiment.ops r.Experiment.duration_ns r.Experiment.throughput
-    r.Experiment.wbinvd r.Experiment.clwb r.Experiment.clwb_elided
-    r.Experiment.clwb_coalesced r.Experiment.clflush
-    r.Experiment.clflush_elided r.Experiment.sfence r.Experiment.sfence_elided
-    r.Experiment.bg_flushes
-    (json_of_counters (Experiment.counters r))
-
 (* Write a bench artifact, then check the exact bytes written against the
    bench schema — a malformed artifact fails the producing job, not some
    downstream consumer. *)
@@ -215,6 +198,9 @@ let run_smoke path =
   let base90 = run_variant90 false in
   let numa90 = run_variant90 true in
   let speedup90 = numa90.Experiment.throughput /. base90.Experiment.throughput in
+  let removed =
+    Telemetry.Json.derived flit.Experiment.telemetry "flit_removed"
+  in
   write_validated path
     (Printf.sprintf
        "{\n  \"schema_version\": %d,\n\
@@ -225,8 +211,8 @@ let run_smoke path =
        \    \"baseline\": %s,\n    \"numa\": %s,\n    \"speedup\": %.4f\n  }\n}\n"
        Telemetry.Json.schema_version threads scale.Figures.key_range
        scale.Figures.log_size scale.Figures.eps_large
-       scale.Figures.duration_ns (json_of_result base) (json_of_result flit)
-       speedup threads90 (json_of_result base90) (json_of_result numa90)
+       scale.Figures.duration_ns (Experiment.to_json base) (Experiment.to_json flit)
+       speedup threads90 (Experiment.to_json base90) (Experiment.to_json numa90)
        speedup90);
   Printf.printf
     "bench smoke: baseline %.0f ops/s, flit %.0f ops/s (%.1f%% %s); \
@@ -234,9 +220,7 @@ let run_smoke path =
     base.Experiment.throughput flit.Experiment.throughput
     (abs_float (speedup -. 1.0) *. 100.)
     (if speedup >= 1.0 then "faster" else "SLOWER")
-    (flit.Experiment.clwb_elided + flit.Experiment.clwb_coalesced
-     + flit.Experiment.clflush_elided + flit.Experiment.sfence_elided)
-    path;
+    removed path;
   Printf.printf
     "bench smoke (90%% read, %d threads): flit %.0f ops/s, \
      flit+dist+mir+bmp %.0f ops/s (%.1f%% %s)\n%!"
@@ -247,10 +231,7 @@ let run_smoke path =
     prerr_endline "bench smoke FAILED: flit variant slower than baseline";
     exit 1
   end;
-  if
-    flit.Experiment.clwb_elided + flit.Experiment.clwb_coalesced
-    + flit.Experiment.clflush_elided + flit.Experiment.sfence_elided = 0
-  then begin
+  if removed = 0 then begin
     prerr_endline "bench smoke FAILED: no flushes elided or coalesced";
     exit 1
   end;
@@ -326,10 +307,9 @@ let run_persistgain path policy_arg =
   let pol = run_variant ~flit:false ~pol:true in
   let flit = run_variant ~flit:true ~pol:false in
   let both = run_variant ~flit:true ~pol:true in
-  let flushes (r : Experiment.result) =
-    r.Experiment.clwb + r.Experiment.clflush + r.Experiment.wbinvd
-  in
-  let fences (r : Experiment.result) = r.Experiment.sfence in
+  let count r = Telemetry.Json.derived r.Experiment.telemetry in
+  let flushes r = count r "clwb" + count r "clflush" + count r "wbinvd" in
+  let fences r = count r "sfence" in
   let per_op n (r : Experiment.result) =
     float_of_int n /. float_of_int (max 1 r.Experiment.ops)
   in
@@ -355,8 +335,8 @@ let run_persistgain path policy_arg =
        Telemetry.Json.schema_version threads scale.Figures.key_range
        scale.Figures.log_size epsilon scale.Figures.duration_ns
        (Nvm.Persist.to_spec policy)
-       (json_of_result base) (json_of_result pol) (json_of_result flit)
-       (json_of_result both) speedup);
+       (Experiment.to_json base) (Experiment.to_json pol) (Experiment.to_json flit)
+       (Experiment.to_json both) speedup);
   Printf.printf
     "bench persistgain: policy fences/op %.3f vs baseline %.3f (flit %.3f); \
      policy traffic/op %.3f vs baseline %.3f; policy vs flit throughput \
@@ -448,7 +428,7 @@ let run_readscale path =
                 "    {\"read_pct\": %d, \"threads\": %d,\n\
                 \     \"baseline\": %s,\n     \"numa\": %s,\n\
                 \     \"speedup\": %.4f}"
-                read_pct threads (json_of_result base) (json_of_result numa)
+                read_pct threads (Experiment.to_json base) (Experiment.to_json numa)
                 speedup
               :: !points
           | _ -> ())
@@ -652,7 +632,7 @@ let run_shardscale path =
           "    {\"shards\": %d, \"speedup\": %.4f,\n     \"result\": %s}"
           shards
           (r.Experiment.throughput /. base_tp)
-          (json_of_result r))
+          (Experiment.to_json r))
       scaling
   in
   let ablation_json =
@@ -663,7 +643,7 @@ let run_shardscale path =
            \"relative\": %.4f,\n     \"result\": %s}"
           cross_pct
           (r.Experiment.throughput /. abl_base)
-          (json_of_result r))
+          (Experiment.to_json r))
       ablation
   in
   write_validated path

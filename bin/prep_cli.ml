@@ -331,18 +331,7 @@ let run_point ~profile system ds threads epsilon read_pct keys duration seed
     Printf.printf "%s | %s | %d threads: %.0f ops/sec (%d ops)\n"
       r.Experiment.system r.Experiment.workload r.Experiment.workers
       r.Experiment.throughput r.Experiment.ops;
-    Printf.printf "memory: %d wbinvd, %d clwb, %d clflush, %d fences, %d bg-flushes\n"
-      r.Experiment.wbinvd r.Experiment.clwb r.Experiment.clflush
-      r.Experiment.sfence r.Experiment.bg_flushes;
-    if
-      r.Experiment.clwb_elided + r.Experiment.clwb_coalesced
-      + r.Experiment.clflush_elided + r.Experiment.sfence_elided > 0
-    then
-      Printf.printf
-        "flit:   %d clwb elided, %d clwb coalesced, %d clflush elided, %d \
-         fences elided\n"
-        r.Experiment.clwb_elided r.Experiment.clwb_coalesced
-        r.Experiment.clflush_elided r.Experiment.sfence_elided;
+    print_string (Profile.render_memory r.Experiment.telemetry);
     if profile then begin
       print_newline ();
       print_string (Profile.render r.Experiment.telemetry)
@@ -1298,8 +1287,20 @@ let session_json_arg =
   let doc = "Write a bench-schema JSON artifact of the campaign to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
+let write_bench_json path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  match Telemetry.Json.(validate_string validate_bench contents) with
+  | Ok () ->
+    Printf.printf "artifact: %s\n" path;
+    Ok ()
+  | Error errs ->
+    List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
+    Error
+      (Printf.sprintf "%s does not validate against the bench schema" path)
+
 let json_of_outcome ~ds ~threads (o : Session.outcome) =
-  let st = o.Session.mem_stats in
   let counters =
     [ ("seed", 0); ("epochs", List.length o.Session.epochs);
       ("crashes", o.Session.crashes_injected);
@@ -1309,23 +1310,14 @@ let json_of_outcome ~ds ~threads (o : Session.outcome) =
       ("duplicated", o.Session.duplicated);
       ("violations", List.length o.Session.violations) ]
   in
-  let json_counters =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters)
-    ^ "}"
-  in
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": %s}|}
-    "PREP-Durable/det" ("session " ^ ds) threads o.Session.history_len
-    o.Session.duration_ns
-    (float_of_int o.Session.history_len
-    *. 1e9
-    /. float_of_int o.Session.duration_ns)
-    st.Nvm.Memory.wbinvd st.Nvm.Memory.clwb st.Nvm.Memory.clwb_elided
-    st.Nvm.Memory.clwb_coalesced st.Nvm.Memory.clflush
-    st.Nvm.Memory.clflush_elided st.Nvm.Memory.sfence
-    st.Nvm.Memory.sfence_elided st.Nvm.Memory.bg_flushes json_counters
+  Telemetry.Json.bench_record ~system:"PREP-Durable/det"
+    ~workload:("session " ^ ds) ~workers:threads ~ops:o.Session.history_len
+    ~duration_ns:o.Session.duration_ns
+    ~throughput:
+      (float_of_int o.Session.history_len
+      *. 1e9
+      /. float_of_int o.Session.duration_ns)
+    ~counters o.Session.mem_counters
 
 let session ds threads ops epsilon log_size crashes seed sessions bg_period
     detect jobs json =
@@ -1396,17 +1388,11 @@ let session ds threads ops epsilon log_size crashes seed sessions bg_period
              (String.concat ",\n    "
                 (List.map (json_of_outcome ~ds ~threads) outcomes));
          in
-         let oc = open_out path in
-         output_string oc contents;
-         close_out oc;
-         (match Telemetry.Json.(validate_string validate_bench contents) with
-          | Ok () -> Printf.printf "artifact: %s\n" path
-          | Error errs ->
-            List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
-            Printf.eprintf
-              "session FAILED: %s does not validate against the bench schema\n"
-              path;
-            exit 1));
+         match write_bench_json path contents with
+         | Ok () -> ()
+         | Error m ->
+           Printf.eprintf "session FAILED: %s\n" m;
+           exit 1);
       if detect then
         if lost = 0 && dup = 0 && viol = 0 then begin
           Printf.printf
@@ -1451,37 +1437,6 @@ let session_cmd =
        $ jobs_arg $ session_json_arg))
 
 (* ---- sweep: closed-loop threads x read-pct grid, campaign-parallel ---- *)
-
-let json_of_result (r : Experiment.result) =
-  let counters =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%S: %d" k v)
-           (Experiment.counters r))
-    ^ "}"
-  in
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": %s}|}
-    r.Experiment.system r.Experiment.workload r.Experiment.workers
-    r.Experiment.ops r.Experiment.duration_ns r.Experiment.throughput
-    r.Experiment.wbinvd r.Experiment.clwb r.Experiment.clwb_elided
-    r.Experiment.clwb_coalesced r.Experiment.clflush
-    r.Experiment.clflush_elided r.Experiment.sfence r.Experiment.sfence_elided
-    r.Experiment.bg_flushes counters
-
-let write_bench_json path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  match Telemetry.Json.(validate_string validate_bench contents) with
-  | Ok () ->
-    Printf.printf "artifact: %s\n" path;
-    Ok ()
-  | Error errs ->
-    List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
-    Error
-      (Printf.sprintf "%s does not validate against the bench schema" path)
 
 let int_list_of_string s =
   try
@@ -1583,7 +1538,7 @@ let sweep system ds threads_list read_pcts epsilon keys duration seed flit
                Telemetry.Json.schema_version system ds epsilon keys duration
                seed
                (String.concat ",\n    "
-                  (Array.to_list (Array.map json_of_result results)))
+                  (Array.to_list (Array.map Experiment.to_json results)))
            in
            match write_bench_json path contents with
            | Ok () -> `Ok ()
@@ -1772,7 +1727,7 @@ type ck_point = {
   ck_recovery_ns : int;
   ck_segments : int;
   ck_compactions : int;
-  ck_stats : Nvm.Memory.stats;
+  ck_counters : Telemetry.Registry.snapshot;
 }
 
 let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
@@ -1871,7 +1826,7 @@ let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
     ck_recovery_ns = !recovery_ns;
     ck_segments = segments;
     ck_compactions = compactions;
-    ck_stats = Nvm.Memory.stats mem;
+    ck_counters = Nvm.Memory.counters mem;
   }
 
 let json_of_ck_point p =
@@ -1883,19 +1838,12 @@ let json_of_ck_point p =
       ("lsm_segments_live", p.ck_segments);
       ("lsm_compactions", p.ck_compactions) ]
   in
-  let st = p.ck_stats in
-  Printf.sprintf
-    {|{"system": %S, "workload": %S, "workers": 0, "ops": %d, "duration_ns": %d, "throughput": %.1f, "wbinvd": %d, "clwb": %d, "clwb_elided": %d, "clwb_coalesced": %d, "clflush": %d, "clflush_elided": %d, "sfence": %d, "sfence_elided": %d, "bg_flushes": %d, "counters": {%s}}|}
-    p.ck_system
-    (Printf.sprintf "ckptscale keys=%d" p.ck_keys)
-    p.ck_ops p.ck_duration_ns
-    (float_of_int p.ck_ops *. 1e9 /. float_of_int (max 1 p.ck_duration_ns))
-    st.Nvm.Memory.wbinvd st.Nvm.Memory.clwb st.Nvm.Memory.clwb_elided
-    st.Nvm.Memory.clwb_coalesced st.Nvm.Memory.clflush
-    st.Nvm.Memory.clflush_elided st.Nvm.Memory.sfence
-    st.Nvm.Memory.sfence_elided st.Nvm.Memory.bg_flushes
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) counters))
+  Telemetry.Json.bench_record ~system:p.ck_system
+    ~workload:(Printf.sprintf "ckptscale keys=%d" p.ck_keys)
+    ~workers:0 ~ops:p.ck_ops ~duration_ns:p.ck_duration_ns
+    ~throughput:
+      (float_of_int p.ck_ops *. 1e9 /. float_of_int (max 1 p.ck_duration_ns))
+    ~counters p.ck_counters
 
 let sizes_arg =
   let doc = "Comma-separated object sizes (prefill key counts) to sweep." in

@@ -42,22 +42,13 @@ type result = {
   ops : int;
   duration_ns : int;
   throughput : float; (* simulated ops/sec *)
-  wbinvd : int;
-  clwb : int;
-  clflush : int;
-  sfence : int;
-  bg_flushes : int;
-  (* flush-elimination accounting (nonzero only for FliT-enabled systems) *)
-  clwb_elided : int;
-  clwb_coalesced : int;
-  clflush_elided : int;
-  sfence_elided : int;
   telemetry : Telemetry.Registry.snapshot;
-      (** typed snapshot of the run's registry: system-specific counters
-          (distributed-lock acquisitions, log mirror reads/stores,
-          slot-bitmap scans, ...) summed across instances, plus — when the
-          run was given a live registry — phase spans, histograms and
-          per-primitive NVM accounting *)
+      (** typed snapshot of the run's registry: the memory's NVM counters
+          (the flush keys are derived from them), the system-specific
+          counters (distributed-lock acquisitions, log mirror
+          reads/stores, slot-bitmap scans, ...) summed across instances,
+          plus — when the run was given a live registry — scheduler
+          counters, phase spans and histograms *)
 }
 
 (* The system-specific counter keys that predate the telemetry layer, in
@@ -85,6 +76,12 @@ let counters r =
       | None -> None)
     legacy_counter_keys
 
+(** [r] as a bench record ([Telemetry.Json.bench_record]). *)
+let to_json r =
+  Telemetry.Json.bench_record ~system:r.system ~workload:r.workload
+    ~workers:r.workers ~ops:r.ops ~duration_ns:r.duration_ns
+    ~throughput:r.throughput ~counters:(counters r) r.telemetry
+
 (** Run one throughput experiment.
 
     [instances] (default 1) builds that many independent instances of the
@@ -98,13 +95,15 @@ let counters r =
     comparable). Closed-loop runs of the sharded construction need this
     to express any parallelism beyond the per-shard combiner batch.
 
-    [telemetry] installs a live registry as the run's ambient registry:
-    the memory model, simulator and constructions record per-primitive
+    [telemetry] installs a live registry as the run's ambient registry
+    (pass a fresh one: the result's flush keys are read from it): the
+    memory model, simulator and constructions record per-primitive
     costs, scheduler events and phase spans into it, each worker's
     operations are wrapped in an ["op"] root span, and worker tracks get
-    stable names for the trace export. Without it only the instances'
-    counters are sampled (into a private registry), so the default path
-    stays as cheap and exactly as deterministic as before. *)
+    stable names for the trace export. Without it only the memory's
+    counters and the instances' samples are recorded, into a private
+    registry, so the default path stays cheap and exactly as
+    deterministic. *)
 let run ?(seed = 7L) ?(topology = Sim.Topology.default)
     ?(duration_ns = 4_000_000) ?(warmup_ns = 800_000) ?(bg_period = 50_000)
     ?(instances = 1) ?(op_batch = 1) ?telemetry ~system
@@ -115,18 +114,16 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   if op_batch < 1 then invalid_arg "Experiment.run: op_batch < 1";
   let duration_ns = duration_ns * system.duration_factor in
   let warmup_ns = warmup_ns * system.duration_factor in
-  (* the accumulator registry: the caller's live one, or a private
-     harness-side one that only ever receives the counter samples *)
+  (* the accumulator registry: the caller's live one, or a private one
+     that receives only the memory's counters and the counter samples *)
   let acc =
     match telemetry with
     | Some r -> r
     | None -> Telemetry.Registry.create ()
   in
-  let saved_reg = Telemetry.Registry.current () in
   (match telemetry with
-   | Some r -> Telemetry.Registry.set_current (Some r)
-   | None -> ());
-  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_current saved_reg)
+   | Some r -> Telemetry.Registry.with_current r
+   | None -> fun f -> f ())
   @@ fun () ->
   let op_span =
     match telemetry with
@@ -147,7 +144,10 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
     | None -> f ops
   in
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets () in
+  let mem =
+    Telemetry.Registry.with_current acc (fun () ->
+        Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets ())
+  in
   let counts = Array.make workers 0 in
   let done_count = ref 0 in
   ignore
@@ -227,7 +227,6 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
    | `Done -> ()
    | `Cut _ -> failwith ("Experiment.run: system wedged: " ^ system.sys_name));
   let ops = Array.fold_left ( + ) 0 counts in
-  let stats = Memory.stats mem in
   {
     system = system.sys_name;
     workload = workload.Workload.name;
@@ -235,15 +234,6 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
     ops;
     duration_ns;
     throughput = float_of_int ops *. 1e9 /. float_of_int duration_ns;
-    wbinvd = stats.Memory.wbinvd;
-    clwb = stats.Memory.clwb;
-    clflush = stats.Memory.clflush;
-    sfence = stats.Memory.sfence;
-    bg_flushes = stats.Memory.bg_flushes;
-    clwb_elided = stats.Memory.clwb_elided;
-    clwb_coalesced = stats.Memory.clwb_coalesced;
-    clflush_elided = stats.Memory.clflush_elided;
-    sfence_elided = stats.Memory.sfence_elided;
     telemetry = Telemetry.Registry.snapshot acc;
   }
 

@@ -409,12 +409,11 @@ let flushstats scale =
           in
           match point_result scale ~system ~workload ~threads with
           | Some r ->
+            let f = Telemetry.Json.derived r.Experiment.telemetry in
             Printf.printf "%-18s %7d %12.0f %9d %9d %9d %9d %9d %8d %8d\n%!"
-              r.Experiment.system threads r.Experiment.throughput
-              r.Experiment.clwb r.Experiment.clwb_coalesced
-              r.Experiment.clwb_elided r.Experiment.clflush
-              r.Experiment.clflush_elided r.Experiment.sfence
-              r.Experiment.sfence_elided
+              r.Experiment.system threads r.Experiment.throughput (f "clwb")
+              (f "clwb_coalesced") (f "clwb_elided") (f "clflush")
+              (f "clflush_elided") (f "sfence") (f "sfence_elided")
           | None ->
             Printf.printf "%-18s %7d %12s\n%!"
               (if flit then "PREP-Durable/flit" else "PREP-Durable")

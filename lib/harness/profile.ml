@@ -94,10 +94,20 @@ type site_row = {
   mutable sr_flit : int;
 }
 
-let strip_suffix s suf =
-  let n = String.length s and m = String.length suf in
-  if n > m && String.sub s (n - m) m = suf then Some (String.sub s 0 (n - m))
-  else None
+(* the primitive whose row a per-site metric belongs to, and its column *)
+let classify metric =
+  let strip suffix =
+    if String.ends_with ~suffix metric then
+      Some (String.sub metric 0 (String.length metric - String.length suffix))
+    else None
+  in
+  match (metric, strip "_ns", strip "_flit_elided", strip "_policy_elided") with
+  | "clflush_downgraded", _, _, _ -> ("clflush", `Policy)
+  | "sfence_deferred", _, _, _ -> ("sfence", `Policy)
+  | _, Some prim, _, _ -> (prim, `Ns)
+  | _, _, Some prim, _ -> (prim, `Flit)
+  | _, _, _, Some prim -> (prim, `Policy)
+  | _ -> (metric, `Emitted)
 
 let site_rows (snap : Registry.snapshot) =
   let tbl = Hashtbl.create 32 in
@@ -115,26 +125,13 @@ let site_rows (snap : Registry.snapshot) =
       match Nvm.Persist.split_counter name with
       | None -> ()
       | Some (metric, site) -> (
-        match strip_suffix metric "_ns" with
-        | Some prim -> (row site prim).sr_ns <- v
-        | None -> (
-          match strip_suffix metric "_flit_elided" with
-          | Some prim -> (row site prim).sr_flit <- v
-          | None -> (
-            match strip_suffix metric "_policy_elided" with
-            | Some prim ->
-              let r = row site prim in
-              r.sr_policy <- r.sr_policy + v
-            | None ->
-              if metric = "clflush_downgraded" then begin
-                let r = row site "clflush" in
-                r.sr_policy <- r.sr_policy + v
-              end
-              else if metric = "sfence_deferred" then begin
-                let r = row site "sfence" in
-                r.sr_policy <- r.sr_policy + v
-              end
-              else (row site metric).sr_emitted <- v))))
+        let prim, column = classify metric in
+        let r = row site prim in
+        match column with
+        | `Emitted -> r.sr_emitted <- r.sr_emitted + v
+        | `Ns -> r.sr_ns <- r.sr_ns + v
+        | `Flit -> r.sr_flit <- r.sr_flit + v
+        | `Policy -> r.sr_policy <- r.sr_policy + v))
     snap.Registry.sn_counters;
   Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl []
   |> List.sort (fun ((s1, p1), r1) ((s2, p2), r2) ->
@@ -172,6 +169,22 @@ let render_counters (snap : Registry.snapshot) =
         Buffer.add_string b (Printf.sprintf "  %-40s %12d\n" name v))
     snap.Registry.sn_counters;
   Buffer.contents b
+
+(** The [memory:] line of [run] and [profile], plus a [flit:] line when
+    FliT removed anything: the derived flush keys of [snap]. *)
+let render_memory (snap : Registry.snapshot) =
+  let d = Json.derived snap in
+  Printf.sprintf
+    "memory: %d wbinvd, %d clwb, %d clflush, %d fences, %d bg-flushes\n"
+    (d "wbinvd") (d "clwb") (d "clflush") (d "sfence") (d "bg_flushes")
+  ^
+  if d "flit_removed" = 0 then ""
+  else
+    Printf.sprintf
+      "flit:   %d clwb elided, %d clwb coalesced, %d clflush elided, %d \
+       fences elided\n"
+      (d "clwb_elided") (d "clwb_coalesced") (d "clflush_elided")
+      (d "sfence_elided")
 
 (** The full profile: phase table, per-site flush/fence table, then the
     remaining nonzero counters. *)

@@ -73,7 +73,8 @@ type outcome = {
   history_len : int;  (** ops applied across all epochs (survivors) *)
   runtime_ops : int;  (** memory operations issued outside construction *)
   duration_ns : int;  (** simulated ns summed over completed epochs *)
-  mem_stats : Memory.stats;
+  mem_counters : Telemetry.Registry.snapshot;
+      (** the memory's counters, for the bench record's flush keys *)
 }
 
 module Make (Ds : Seqds.Ds_intf.S) = struct
@@ -367,7 +368,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
       history_len = List.length history;
       runtime_ops = !runtime_ops;
       duration_ns = max 1 !duration;
-      mem_stats = Memory.stats mem;
+      mem_counters = Memory.counters mem;
     }
 
   (** [sessions] independent sessions on consecutive seeds, evaluated by

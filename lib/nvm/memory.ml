@@ -30,32 +30,90 @@ type arena = {
   dirty : Bytes.t; (* per line: 0 = clean, 1 + socket = dirty in that socket's cache *)
 }
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable cas_ops : int;
-  mutable clwb : int;          (** CLWBs that queued a real media write-back *)
-  mutable clflush : int;       (** CLFLUSHes that performed a real media write *)
-  mutable sfence : int;        (** SFENCEs that drained a non-empty WPQ *)
-  mutable wbinvd : int;
-  mutable wbinvd_lines : int;
-  mutable bg_flushes : int;
-  (* FliT flush-elimination accounting (all 0 unless [set_flit m true]): *)
-  mutable clwb_elided : int;    (** CLWB on a clean, already-persisted line *)
-  mutable clwb_coalesced : int; (** CLWB merged into an existing WPQ entry *)
-  mutable clflush_elided : int; (** CLFLUSH on a clean line with current media *)
-  mutable sfence_elided : int;  (** SFENCE with an empty write-pending queue *)
-  (* static per-site policy accounting ([set_policy]; all 0 by default): *)
-  mutable policy_elided : int;     (** instructions removed by [Persist.Elide] *)
-  mutable policy_downgraded : int; (** CLFLUSHes rewritten to CLWB *)
-  mutable policy_deferred : int;   (** SFENCEs left to the next emitted fence *)
+(* ---- counters ----
+
+   Every event is counted once, into the registry captured at [make] (the
+   ambient one, or a private one), through handles resolved there: a
+   count and a simulated-ns total per primitive ([nvm.clwb] /
+   [nvm.clwb_ns]), background flushes ([nvm.bg_flush]) and the dirty
+   lines an arena walk writes back ([nvm.flush_arena_lines]). Per-site
+   families ([nvm.clwb@log.persist_entry], [nvm.clflush_policy_elided@
+   prep.init], ...; [Persist.split_counter] is the reader) resolve each
+   site on first use: an emitted instruction records its count and
+   simulated-ns share, each elision class a count under a metric naming
+   the class. [Telemetry.Json.derived] turns these into the bench-record
+   flush keys and the policy totals. Recording never ticks simulated
+   time, so it cannot change a run's behaviour. *)
+
+module R = Telemetry.Registry
+
+type prim = { n : R.counter; ns : R.counter }
+
+(* a flush/fence primitive <p>: [nvm.<p>], FliT's [nvm.<p>_elided], and
+   the site families <p>, <p>_ns, <p>_policy_elided, <p>_flit_elided *)
+type flush = {
+  total : prim;
+  elided : prim;
+  at : R.family;
+  ns_at : R.family;
+  pol_at : R.family;
+  flit_at : R.family;
 }
 
-let new_stats () =
-  { reads = 0; writes = 0; cas_ops = 0; clwb = 0; clflush = 0; sfence = 0;
-    wbinvd = 0; wbinvd_lines = 0; bg_flushes = 0;
-    clwb_elided = 0; clwb_coalesced = 0; clflush_elided = 0; sfence_elided = 0;
-    policy_elided = 0; policy_downgraded = 0; policy_deferred = 0 }
+type handles = {
+  read : prim;
+  write : prim;
+  mirror_write : prim;
+  scrub : prim;
+  cas : prim;
+  faa : prim;
+  clwb : flush;
+  clflush : flush;
+  sfence : flush;
+  wbinvd : flush;
+  flush_arena : flush;
+  clwb_coalesced : prim;  (* CLWB merged into a queued WPQ entry *)
+  clflush_downgraded_at : R.family;  (* CLFLUSHes the policy made CLWBs *)
+  sfence_deferred_at : R.family;  (* SFENCEs the policy left to the next *)
+  bg_flush : R.counter;
+  flush_arena_lines : R.counter;
+}
+
+let resolve_handles reg =
+  let prim name =
+    { n = R.counter reg (Printf.sprintf "nvm.%s" name);
+      ns = R.counter reg (Printf.sprintf "nvm.%s_ns" name) }
+  in
+  let fam metric =
+    R.family reg ~size:Persist.n_sites (fun i ->
+        Printf.sprintf "nvm.%s@%s" metric (Persist.to_string Persist.all.(i)))
+  in
+  let flush p =
+    { total = prim p; elided = prim (p ^ "_elided"); at = fam p;
+      ns_at = fam (p ^ "_ns"); pol_at = fam (p ^ "_policy_elided");
+      flit_at = fam (p ^ "_flit_elided") }
+  in
+  { read = prim "read"; write = prim "write";
+    mirror_write = prim "mirror_write"; scrub = prim "scrub";
+    cas = prim "cas"; faa = prim "faa";
+    clwb = flush "clwb"; clflush = flush "clflush"; sfence = flush "sfence";
+    wbinvd = flush "wbinvd"; flush_arena = flush "flush_arena";
+    clwb_coalesced = prim "clwb_coalesced";
+    clflush_downgraded_at = fam "clflush_downgraded";
+    sfence_deferred_at = fam "sfence_deferred";
+    bg_flush = R.counter reg "nvm.bg_flush";
+    flush_arena_lines = R.counter reg "nvm.flush_arena_lines" }
+
+let count p cost = R.incr p.n; R.add p.ns cost
+let at f site = R.add_at f (Persist.index site) 1
+
+(* an instruction that reached the bus at [site], charged [cost] *)
+let emitted_at f site cost =
+  R.add_at f.at (Persist.index site) 1;
+  R.add_at f.ns_at (Persist.index site) cost
+
+let emit f site cost = count f.total cost; emitted_at f site cost
+let flit_elided f site cost = count f.elided cost; at f.flit_at site
 
 type pending = { p_arena : int; p_line : int; p_words : int array }
 
@@ -99,7 +157,8 @@ type t = {
   m_rng : Sim.Rng.t;
   m_bg_period : int;
   mutable m_countdown : int;
-  m_stats : stats;
+  m_reg : R.t;
+  m_c : handles;
   mutable m_op_index : int;
   mutable m_crash_hook : (int -> unit) option;
   (* incremental state fingerprints, see the comment at [mix] *)
@@ -112,10 +171,6 @@ type t = {
          (dirty_key | -1 for whole-cache ops, word address | -1, is_write,
          value involved); the explorer derives per-step cache-line
          footprints and fine-grained state hashes from it *)
-  m_tel : Telemetry.Registry.t option;
-      (* telemetry registry captured at [make]; [None] costs one branch per
-         operation and nothing else. Recording never ticks simulated time,
-         so an attached registry cannot change a run's behaviour. *)
   mutable m_policy : Persist.policy;
       (* per-site persistency policy consulted by every flush/fence
          primitive before it emits; the all-[Emit] default reproduces the
@@ -123,76 +178,32 @@ type t = {
 }
 
 let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) ?(flit = false) () =
-  let m =
-    {
-      m_arenas = Array.make 64 dummy_arena;
-      m_count = 0;
-      m_dirty_by_socket = Array.init sockets (fun _ -> Hashtbl.create 4096);
-      m_pending = [];
-      m_flit = flit;
-      m_pending_tbl = Hashtbl.create 256;
-      m_rng = Sim.Rng.create seed;
-      m_bg_period = bg_period;
-      m_countdown = (if bg_period = 0 then max_int else bg_period);
-      m_stats = new_stats ();
-      m_op_index = 0;
-      m_crash_hook = None;
-      m_value_hash = 0;
-      m_media_hash = 0;
-      m_dirty_hash = 0;
-      m_wpq_hash = 0;
-      m_access_hook = None;
-      m_tel = Telemetry.Registry.current ();
-      m_policy = Persist.default ();
-    }
-  in
-  m
+  let reg = R.current_or_new () in
+  {
+    m_arenas = Array.make 64 dummy_arena;
+    m_count = 0;
+    m_dirty_by_socket = Array.init sockets (fun _ -> Hashtbl.create 4096);
+    m_pending = [];
+    m_flit = flit;
+    m_pending_tbl = Hashtbl.create 256;
+    m_rng = Sim.Rng.create seed;
+    m_bg_period = bg_period;
+    m_countdown = (if bg_period = 0 then max_int else bg_period);
+    m_reg = reg;
+    m_c = resolve_handles reg;
+    m_op_index = 0;
+    m_crash_hook = None;
+    m_value_hash = 0;
+    m_media_hash = 0;
+    m_dirty_hash = 0;
+    m_wpq_hash = 0;
+    m_access_hook = None;
+    m_policy = Persist.default ();
+  }
 
-(* Per-primitive telemetry: a count and a simulated-ns total per operation
-   kind, e.g. [nvm.clwb] / [nvm.clwb_ns]. *)
-let tel_op m name cost =
-  match m.m_tel with
-  | None -> ()
-  | Some r ->
-    if Telemetry.Registry.enabled r then begin
-      Telemetry.Registry.add_to r ("nvm." ^ name) 1;
-      Telemetry.Registry.add_to r ("nvm." ^ name ^ "_ns") cost
-    end
-
-(* Per-site flush/fence telemetry ([Persist.split_counter] is the reader).
-   An *emitted* instruction records its count and its simulated-ns share
-   ([nvm.clwb@log.persist_entry] / [nvm.clwb_ns@log.persist_entry]); the
-   elision classes record a count under a metric naming the class
-   ([nvm.clwb_flit_elided@...], [nvm.clflush_policy_elided@...], ...), so
-   the profile table and the inference ranking can separate what actually
-   reached the bus from what a layer removed. *)
-let tel_emit m prim site cost =
-  match m.m_tel with
-  | None -> ()
-  | Some r ->
-    if Telemetry.Registry.enabled r then begin
-      let s = Persist.to_string site in
-      Telemetry.Registry.add_to r ("nvm." ^ prim ^ "@" ^ s) 1;
-      Telemetry.Registry.add_to r ("nvm." ^ prim ^ "_ns@" ^ s) cost
-    end
-
-let tel_site_count m metric site =
-  match m.m_tel with
-  | None -> ()
-  | Some r ->
-    if Telemetry.Registry.enabled r then
-      Telemetry.Registry.add_to r
-        ("nvm." ^ metric ^ "@" ^ Persist.to_string site) 1
-
-let tel_instant m name =
-  match m.m_tel with
-  | None -> ()
-  | Some r -> Telemetry.Registry.instant r name
-
-let stats m = m.m_stats
-
-(** Whether FliT-style flush elimination is active. *)
-let flit_enabled m = m.m_flit
+(** A snapshot of this memory's counters — the one accessor for its
+    counts, read through [Telemetry.Json.derived]. *)
+let counters m = R.snapshot m.m_reg
 
 (** The installed per-site persistency policy (all-[Emit] by default). *)
 let policy m = m.m_policy
@@ -412,7 +423,7 @@ let flit_prune m arena line =
   end
 
 let background_flush m arena line =
-  m.m_stats.bg_flushes <- m.m_stats.bg_flushes + 1;
+  R.incr m.m_c.bg_flush;
   commit_line_to_media m arena line;
   flit_prune m arena line;
   clear_dirty m arena line
@@ -436,8 +447,7 @@ let read m addr =
   let line_dirty = Bytes.get_uint8 arena.dirty line <> 0 in
   let cost = access_cost m arena ~line_dirty in
   Sim.tick cost;
-  tel_op m "read" cost;
-  m.m_stats.reads <- m.m_stats.reads + 1;
+  count m.m_c.read cost;
   let v = arena.values.(off) in
   access_point m (dirty_key arena.aid line) ~addr ~write:false v;
   v
@@ -449,8 +459,7 @@ let write m addr v =
   let line = line_of_offset off in
   let cost = access_cost m arena ~line_dirty:true in
   Sim.tick cost;
-  tel_op m "write" cost;
-  m.m_stats.writes <- m.m_stats.writes + 1;
+  count m.m_c.write cost;
   set_value m arena off v;
   mark_dirty m arena line (Sim.socket ());
   access_point m (dirty_key arena.aid line) ~addr ~write:true v;
@@ -468,8 +477,7 @@ let mirror_write m addr v =
   let line = line_of_offset off in
   let cost = (Sim.costs ()).Sim.Costs.mirror_write in
   Sim.tick cost;
-  tel_op m "mirror_write" cost;
-  m.m_stats.writes <- m.m_stats.writes + 1;
+  count m.m_c.mirror_write cost;
   set_value m arena off v;
   mark_dirty m arena line (Sim.socket ());
   access_point m (dirty_key arena.aid line) ~addr ~write:true v;
@@ -487,7 +495,7 @@ let scrub m addr size =
   let last_line = line_of_offset (off + size - 1) in
   let cost = (last_line - first_line + 1) * (Sim.costs ()).Sim.Costs.cache_access in
   Sim.tick cost;
-  tel_op m "scrub" cost;
+  count m.m_c.scrub cost;
   let socket = Sim.socket () in
   for i = off to off + size - 1 do
     set_value m arena i 0
@@ -507,8 +515,7 @@ let cas m addr ~expected ~desired =
   let c = Sim.costs () in
   let cost = c.Sim.Costs.cas + access_cost m arena ~line_dirty:true in
   Sim.tick cost;
-  tel_op m "cas" cost;
-  m.m_stats.cas_ops <- m.m_stats.cas_ops + 1;
+  count m.m_c.cas cost;
   (* the hook fires after the compare so a failed CAS registers as a plain
      read: it changes nothing, so treating it as a write would spuriously
      wake every parked fiber in the explorer's await machinery (two CAS
@@ -536,7 +543,7 @@ let faa m addr delta =
   let c = Sim.costs () in
   let cost = c.Sim.Costs.cas + access_cost m arena ~line_dirty:true in
   Sim.tick cost;
-  tel_op m "faa" cost;
+  count m.m_c.faa cost;
   let old = arena.values.(off) in
   set_value m arena off (old + delta);
   mark_dirty m arena line (Sim.socket ());
@@ -551,9 +558,7 @@ let faa m addr delta =
     entirely (no cost, no scheduling point, no effect). *)
 let clwb ~site m addr =
   match policy_action m site with
-  | Persist.Elide ->
-    m.m_stats.policy_elided <- m.m_stats.policy_elided + 1;
-    tel_site_count m "clwb_policy_elided" site
+  | Persist.Elide -> at m.m_c.clwb.pol_at site
   | Persist.Emit | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
   op_point m;
   let arena = arena_of_addr m addr in
@@ -563,9 +568,7 @@ let clwb ~site m addr =
   let key = dirty_key arena.aid line in
   if not m.m_flit then begin
     Sim.tick (Sim.costs ()).Sim.Costs.clwb_line;
-    tel_op m "clwb" (Sim.costs ()).Sim.Costs.clwb_line;
-    tel_emit m "clwb" site (Sim.costs ()).Sim.Costs.clwb_line;
-    m.m_stats.clwb <- m.m_stats.clwb + 1;
+    emit m.m_c.clwb site (Sim.costs ()).Sim.Costs.clwb_line;
     let words = Array.sub arena.values base line_words in
     m.m_pending <- { p_arena = arena.aid; p_line = line; p_words = words } :: m.m_pending;
     m.m_wpq_hash <- h2 (pending_entry_h key words) m.m_wpq_hash;
@@ -578,24 +581,19 @@ let clwb ~site m addr =
       (* clean line: media or the WPQ already holds the current contents —
          the flush tag says there is nothing to write back *)
       Sim.tick c.Sim.Costs.flush_tag_check;
-      tel_op m "clwb_elided" c.Sim.Costs.flush_tag_check;
-      tel_site_count m "clwb_flit_elided" site;
-      m.m_stats.clwb_elided <- m.m_stats.clwb_elided + 1;
+      flit_elided m.m_c.clwb site c.Sim.Costs.flush_tag_check;
       access_point m key ~addr:(-1) ~write:false 0
     end
     else begin
       if Hashtbl.mem m.m_pending_tbl key then begin
         (* same line already queued: update the WPQ entry in place *)
         Sim.tick c.Sim.Costs.clwb_merge;
-        tel_op m "clwb_coalesced" c.Sim.Costs.clwb_merge;
-        tel_emit m "clwb" site c.Sim.Costs.clwb_merge;
-        m.m_stats.clwb_coalesced <- m.m_stats.clwb_coalesced + 1
+        count m.m_c.clwb_coalesced c.Sim.Costs.clwb_merge;
+        emitted_at m.m_c.clwb site c.Sim.Costs.clwb_merge
       end
       else begin
         Sim.tick c.Sim.Costs.clwb_line;
-        tel_op m "clwb" c.Sim.Costs.clwb_line;
-        tel_emit m "clwb" site c.Sim.Costs.clwb_line;
-        m.m_stats.clwb <- m.m_stats.clwb + 1
+        emit m.m_c.clwb site c.Sim.Costs.clwb_line
       end;
       (* capture after the tick (a yield point): a concurrent fence may have
          drained and pruned the looked-up entry meanwhile, so always
@@ -621,12 +619,9 @@ let clwb ~site m addr =
     — the unified accounting [clwb] always had. *)
 let clflush ~site m addr =
   match policy_action m site with
-  | Persist.Elide ->
-    m.m_stats.policy_elided <- m.m_stats.policy_elided + 1;
-    tel_site_count m "clflush_policy_elided" site
+  | Persist.Elide -> at m.m_c.clflush.pol_at site
   | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
-    m.m_stats.policy_downgraded <- m.m_stats.policy_downgraded + 1;
-    tel_site_count m "clflush_downgraded" site;
+    at m.m_c.clflush_downgraded_at site;
     clwb ~site m addr
   | Persist.Emit ->
   op_point m;
@@ -639,16 +634,12 @@ let clflush ~site m addr =
   then begin
     (* clean and nothing queued: media already holds the line *)
     Sim.tick (Sim.costs ()).Sim.Costs.flush_tag_check;
-    tel_op m "clflush_elided" (Sim.costs ()).Sim.Costs.flush_tag_check;
-    tel_site_count m "clflush_flit_elided" site;
-    m.m_stats.clflush_elided <- m.m_stats.clflush_elided + 1;
+    flit_elided m.m_c.clflush site (Sim.costs ()).Sim.Costs.flush_tag_check;
     access_point m (dirty_key arena.aid line) ~addr:(-1) ~write:false 0
   end
   else begin
     Sim.tick (Sim.costs ()).Sim.Costs.clflush_line;
-    tel_op m "clflush" (Sim.costs ()).Sim.Costs.clflush_line;
-    tel_emit m "clflush" site (Sim.costs ()).Sim.Costs.clflush_line;
-    m.m_stats.clflush <- m.m_stats.clflush + 1;
+    emit m.m_c.clflush site (Sim.costs ()).Sim.Costs.clflush_line;
     commit_line_to_media m arena line;
     flit_prune m arena line;
     clear_dirty m arena line;
@@ -671,27 +662,20 @@ let sfence ~site m =
     (* the fence is gone; any queued write-backs stay pending and drain at
        the next emitted fence — or are lost to a crash, which is exactly
        the window the admission oracle has to clear *)
-    m.m_stats.policy_elided <- m.m_stats.policy_elided + 1;
-    tel_site_count m "sfence_policy_elided" site
-  | Persist.Defer_to_next_fence ->
-    m.m_stats.policy_deferred <- m.m_stats.policy_deferred + 1;
-    tel_site_count m "sfence_deferred" site
+    at m.m_c.sfence.pol_at site
+  | Persist.Defer_to_next_fence -> at m.m_c.sfence_deferred_at site
   | Persist.Emit | Persist.Downgrade_to_clwb ->
   op_point m;
   if m.m_flit then begin
     if Hashtbl.length m.m_pending_tbl = 0 then begin
       (* empty WPQ: the fence retires immediately, no drain cost *)
-      tel_op m "sfence_elided" 0;
-      tel_site_count m "sfence_flit_elided" site;
-      m.m_stats.sfence_elided <- m.m_stats.sfence_elided + 1;
+      flit_elided m.m_c.sfence site 0;
       access_point m (-1) ~addr:(-1) ~write:false 0
     end
     else begin
       Sim.tick (Sim.costs ()).Sim.Costs.sfence;
-      tel_op m "sfence" (Sim.costs ()).Sim.Costs.sfence;
-      tel_emit m "sfence" site (Sim.costs ()).Sim.Costs.sfence;
-      tel_instant m "sfence";
-      m.m_stats.sfence <- m.m_stats.sfence + 1;
+      emit m.m_c.sfence site (Sim.costs ()).Sim.Costs.sfence;
+      R.instant m.m_reg "sfence";
       Hashtbl.iter
         (fun key words ->
           drain_pending_words m (key / lines_per_arena) (key mod lines_per_arena)
@@ -704,10 +688,8 @@ let sfence ~site m =
   end
   else begin
     Sim.tick (Sim.costs ()).Sim.Costs.sfence;
-    tel_op m "sfence" (Sim.costs ()).Sim.Costs.sfence;
-    tel_emit m "sfence" site (Sim.costs ()).Sim.Costs.sfence;
-    tel_instant m "sfence";
-    m.m_stats.sfence <- m.m_stats.sfence + 1;
+    emit m.m_c.sfence site (Sim.costs ()).Sim.Costs.sfence;
+    R.instant m.m_reg "sfence";
     List.iter
       (fun p -> drain_pending_words m p.p_arena p.p_line p.p_words)
       (List.rev m.m_pending);
@@ -722,9 +704,7 @@ let sfence ~site m =
     expensive hammer the paper says it is. *)
 let wbinvd ~site m =
   match policy_action m site with
-  | Persist.Elide ->
-    m.m_stats.policy_elided <- m.m_stats.policy_elided + 1;
-    tel_site_count m "wbinvd_policy_elided" site
+  | Persist.Elide -> at m.m_c.wbinvd.pol_at site
   | Persist.Emit | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
   op_point m;
   let socket = Sim.socket () in
@@ -734,11 +714,8 @@ let wbinvd ~site m =
   let c = Sim.costs () in
   let cost = c.Sim.Costs.wbinvd_base + (flushed * c.Sim.Costs.wbinvd_per_line) in
   Sim.tick cost;
-  tel_op m "wbinvd" cost;
-  tel_emit m "wbinvd" site cost;
-  tel_instant m "wbinvd";
-  m.m_stats.wbinvd <- m.m_stats.wbinvd + 1;
-  m.m_stats.wbinvd_lines <- m.m_stats.wbinvd_lines + flushed;
+  emit m.m_c.wbinvd site cost;
+  R.instant m.m_reg "wbinvd";
   List.iter
     (fun key ->
       let aid = key / lines_per_arena and line = key mod lines_per_arena in
@@ -759,9 +736,7 @@ let clean_line_flush_cost = 12
 
 let flush_arena ~site m aid =
   match policy_action m site with
-  | Persist.Elide ->
-    m.m_stats.policy_elided <- m.m_stats.policy_elided + 1;
-    tel_site_count m "flush_arena_policy_elided" site
+  | Persist.Elide -> at m.m_c.flush_arena.pol_at site
   | Persist.Emit | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
   op_point m;
   let arena = m.m_arenas.(aid) in
@@ -773,14 +748,13 @@ let flush_arena ~site m aid =
     if Bytes.get_uint8 arena.dirty line <> 0 then begin
       Sim.tick c.Sim.Costs.clwb_line;
       total := !total + c.Sim.Costs.clwb_line;
-      m.m_stats.clwb <- m.m_stats.clwb + 1;
+      R.incr m.m_c.flush_arena_lines;
       commit_line_to_media m arena line;
       flit_prune m arena line;
       clear_dirty m arena line
     end
   done;
-  tel_op m "flush_arena" !total;
-  tel_emit m "flush_arena" site !total;
+  emit m.m_c.flush_arena site !total;
   access_point m (-1) ~addr:(-1) ~write:true 0
 
 (* ---- crash and inspection (no simulated cost: harness-side) ---- *)
@@ -789,7 +763,7 @@ let flush_arena ~site m aid =
     survives. The coherent view of every NVM arena is rebuilt from media;
     DRAM arenas are zeroed. *)
 let crash m =
-  tel_instant m "crash";
+  R.instant m.m_reg "crash";
   for aid = 0 to m.m_count - 1 do
     let arena = m.m_arenas.(aid) in
     (match arena.kind with
@@ -817,25 +791,7 @@ let peek_media m addr =
   | Nvm -> arena.media.(offset_of_addr addr)
   | Dram -> 0
 
-(** Write a word without charging simulated time (test setup helper). *)
-let poke m addr v = set_value m (arena_of_addr m addr) (offset_of_addr addr) v
-
-let arena_kind m aid = m.m_arenas.(aid).kind
 let arena_count m = m.m_count
-
-(** Number of write-backs currently queued in the write-pending queue. *)
-let pending_write_backs m =
-  if m.m_flit then Hashtbl.length m.m_pending_tbl else List.length m.m_pending
-
-(** Count of currently dirty (unpersisted) lines across all NVM arenas. *)
-let dirty_nvm_lines m =
-  let n = ref 0 in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun key () ->
-         let aid = key / lines_per_arena in
-         if m.m_arenas.(aid).kind = Nvm then incr n) tbl)
-    m.m_dirty_by_socket;
-  !n
 
 (* ---- enumerable crash-set API (model checking) ----
 

@@ -285,7 +285,7 @@ let load arg =
 
 (* ---- per-site telemetry naming ----
 
-   [Memory] attributes every flush/fence to its site through the ambient
+   [Memory] attributes every flush/fence to its site through its
    telemetry registry using counter names of the form
 
      nvm.<metric>@<site-string>

@@ -55,6 +55,12 @@ type t = {
       (** controlled mode only: fid -> continuation of each runnable fiber *)
   fibers : (int, fiber) Hashtbl.t;
       (** registry of every spawned fiber, for harness inspection *)
+  switches : Telemetry.Registry.counter;
+      (** scheduler counters, resolved at [create] against the ambient
+          telemetry registry (a private one when none is installed) *)
+  spins : Telemetry.Registry.counter;
+  preemptions : Telemetry.Registry.counter;
+  fibers_spawned : Telemetry.Registry.counter;
 }
 
 type _ Effect.t += Yield : unit Effect.t
@@ -100,6 +106,8 @@ let self () =
     The default 0.0 keeps the exact seed behaviour. *)
 let create ?(seed = 1L) ?(costs = Costs.default) ?(quantum = 150)
     ?(preempt_prob = 0.0) topology =
+  let reg = Telemetry.Registry.current_or_new () in
+  let counter name = Telemetry.Registry.counter reg ("sim." ^ name) in
   {
     topology;
     costs;
@@ -116,6 +124,10 @@ let create ?(seed = 1L) ?(costs = Costs.default) ?(quantum = 150)
     spin_hook = None;
     runnable = Hashtbl.create 64;
     fibers = Hashtbl.create 64;
+    switches = counter "switches";
+    spins = counter "spins";
+    preemptions = counter "preemptions";
+    fibers_spawned = counter "fibers_spawned";
   }
 
 (** Switch the simulation into controlled-scheduler mode (see [t.chooser]).
@@ -245,7 +257,7 @@ let spawn t ~socket ?(core = 0) ?(at = -1) f =
   t.next_fid <- t.next_fid + 1;
   t.live <- t.live + 1;
   Hashtbl.replace t.fibers fiber.fid fiber;
-  Telemetry.Registry.cur_add "sim.fibers_spawned" 1;
+  Telemetry.Registry.incr t.fibers_spawned;
   Telemetry.Registry.cur_name_track fiber.fid
     (Printf.sprintf "fiber-%d (s%d.c%d)" fiber.fid socket core);
   schedule t ~fid:fiber.fid ~time:start_time (fun () ->
@@ -347,13 +359,13 @@ let tick cost =
   | None ->
     if t.preempt_prob > 0.0 && Rng.float t.rng < t.preempt_prob then begin
       f.clock <- f.clock + Rng.int t.rng t.quantum;
-      Telemetry.Registry.cur_add "sim.preemptions" 1;
+      Telemetry.Registry.incr t.preemptions;
       Effect.perform Yield
     end
     else
       match heap_peek t with
       | Some e when e.time < f.clock ->
-        Telemetry.Registry.cur_add "sim.switches" 1;
+        Telemetry.Registry.incr t.switches;
         Effect.perform Yield
       | Some _ | None -> ()
 
@@ -366,7 +378,7 @@ let spin () =
   let f = self () in
   let s = instance () in
   f.clock <- f.clock + s.costs.Costs.spin;
-  Telemetry.Registry.cur_add "sim.spins" 1;
+  Telemetry.Registry.incr s.spins;
   (match s.spin_hook with Some h -> h f.fid | None -> ());
   Effect.perform Yield
 

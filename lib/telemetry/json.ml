@@ -253,10 +253,69 @@ let validate_trace v =
      | _ -> "missing traceEvents array" :: errs)
   | _ -> [ "top level is not an object" ]
 
+(* ---- bench records ----
+
+   A bench record is one measured result: six identity keys, the nine
+   flush-traffic keys, then a [counters] object. The flush keys, the
+   persistency-policy totals and FliT's removals are a derived view of
+   the registry counters [Nvm.Memory] records, each summed from its
+   sources below; a source ending in "@*" is a per-site family
+   ("nvm.<metric>@<site>"), summed over sites. *)
+
+let flush_sources =
+  [ ("wbinvd", [ "nvm.wbinvd" ]);
+    ("clwb", [ "nvm.clwb"; "nvm.flush_arena_lines" ]);
+    ("clwb_elided", [ "nvm.clwb_elided" ]);
+    ("clwb_coalesced", [ "nvm.clwb_coalesced" ]);
+    ("clflush", [ "nvm.clflush" ]);
+    ("clflush_elided", [ "nvm.clflush_elided" ]);
+    ("sfence", [ "nvm.sfence" ]);
+    ("sfence_elided", [ "nvm.sfence_elided" ]);
+    ("bg_flushes", [ "nvm.bg_flush" ]) ]
+
+let derived_sources =
+  flush_sources
+  @ [ ( "policy_elided",
+        [ "nvm.clwb_policy_elided@*"; "nvm.clflush_policy_elided@*";
+          "nvm.sfence_policy_elided@*"; "nvm.wbinvd_policy_elided@*";
+          "nvm.flush_arena_policy_elided@*" ] );
+      ("policy_downgraded", [ "nvm.clflush_downgraded@*" ]);
+      ("policy_deferred", [ "nvm.sfence_deferred@*" ]);
+      (* everything FliT removed or merged: the bench smoke guard *)
+      ( "flit_removed",
+        [ "nvm.clwb_elided"; "nvm.clwb_coalesced"; "nvm.clflush_elided";
+          "nvm.sfence_elided" ] ) ]
+
+let flush_keys = List.map fst flush_sources
+
 let result_keys =
-  [ "system"; "workload"; "workers"; "ops"; "duration_ns"; "throughput";
-    "wbinvd"; "clwb"; "clwb_elided"; "clwb_coalesced"; "clflush";
-    "clflush_elided"; "sfence"; "sfence_elided"; "bg_flushes" ]
+  [ "system"; "workload"; "workers"; "ops"; "duration_ns"; "throughput" ]
+  @ flush_keys
+
+(** The value of derived key [key] (a key of [derived_sources]) in
+    [snap]. Raises [Not_found] on an unknown key. *)
+let derived (snap : Registry.snapshot) key =
+  let matches name src =
+    match String.index_opt src '*' with
+    | Some n -> String.starts_with ~prefix:(String.sub src 0 n) name
+    | None -> name = src
+  in
+  let srcs = List.assoc key derived_sources in
+  List.fold_left
+    (fun acc (name, v) -> if List.exists (matches name) srcs then acc + v else acc)
+    0 snap.Registry.sn_counters
+
+(** The one bench-record renderer: the identity keys, the flush keys
+    derived from [snap], then [counters] as the [counters] object. *)
+let bench_record ~system ~workload ~workers ~ops ~duration_ns ~throughput
+    ~counters snap =
+  let kv (k, v) = Printf.sprintf "%S: %d" k v in
+  Printf.sprintf
+    {|{"system": %S, "workload": %S, "workers": %d, "ops": %d, "duration_ns": %d, "throughput": %.1f, %s, "counters": {%s}}|}
+    system workload workers ops duration_ns throughput
+    (String.concat ", "
+       (List.map (fun k -> kv (k, derived snap k)) flush_keys))
+    (String.concat ", " (List.map kv counters))
 
 (* Per-point keys of a loadcurve curve object ([bench loadcurve] /
    [prep_cli serve-sim]); all numeric. *)

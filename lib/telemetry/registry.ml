@@ -5,7 +5,6 @@
 
     - {e counters} — monotonically increasing ints (flush counts per call
       site, scheduler events, ported optimisation counters);
-    - {e gauges} — last-written ints (configuration echoes, watermarks);
     - {e histograms} — distributions of simulated-ns values in log2
       buckets, with approximate p50/p95/p99;
     - {e spans} — named phases ("combine", "persist", ...) timed on the
@@ -24,10 +23,12 @@
     [set_clock]/[set_track] callbacks, which [Sim] installs at link time.
     When no simulation is running both default to 0.
 
-    Cost when disabled: instrumentation sites are guarded either by an
-    [option] captured at subsystem creation ([Nvm.Memory], [Prep_uc]) or
-    by the one-word [current ()] check, so the default path pays a load
-    and a branch, nothing more. *)
+    Counting is always on. Hot recording sites ([Nvm.Memory], [Sim])
+    resolve their counters to typed handles once, at creation, so a
+    record is one increment; a counter enters snapshots only once
+    something was recorded into it, so handles resolved up front never
+    show as spurious zero rows. Spans stay opt-in: [Prep_uc] captures an
+    [option] of the ambient registry at construction. *)
 
 (* ---- ambient callbacks (installed by Sim) ---- *)
 
@@ -41,8 +42,11 @@ let track () = !track_fn ()
 
 (* ---- metrics ---- *)
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : int }
+type counter = {
+  c_name : string;
+  mutable c_value : int;
+  mutable c_live : bool; (* recorded into at least once: listed in snapshots *)
+}
 
 let hist_buckets = 63
 (* bucket [b] holds values v with [bits v = b], i.e. v in [2^(b-1), 2^b);
@@ -84,12 +88,10 @@ type track_info = {
 }
 
 type t = {
-  mutable enabled : bool;
-  mutable tracing : bool; (* collect Chrome-trace events *)
+  tracing : bool; (* collect Chrome-trace events *)
   sample_events : int; (* emit every Nth complete event per span kind *)
   max_events : int;
   counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   spans : (string, span) Hashtbl.t;
   stacks : (int, frame list) Hashtbl.t; (* track -> open spans, innermost first *)
@@ -100,15 +102,13 @@ type t = {
   mutable dropped_events : int;
 }
 
-let create ?(enabled = true) ?(tracing = false) ?(sample_events = 1)
-    ?(max_events = 4_000_000) () =
+let create ?(tracing = false) ?(sample_events = 1) ?(max_events = 4_000_000)
+    () =
   {
-    enabled;
     tracing;
     sample_events = max 1 sample_events;
     max_events;
     counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 32;
     spans = Hashtbl.create 16;
     stacks = Hashtbl.create 16;
@@ -118,10 +118,6 @@ let create ?(enabled = true) ?(tracing = false) ?(sample_events = 1)
     n_events = 0;
     dropped_events = 0;
   }
-
-let enabled t = t.enabled
-let tracing t = t.tracing && t.enabled
-let set_enabled t on = t.enabled <- on
 
 (* ---- the ambient registry ---- *)
 
@@ -133,40 +129,29 @@ type cur_slot = { mutable cur : t option }
 let cur_key : cur_slot Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { cur = None })
 
-let cur () = (Domain.DLS.get cur_key).cur
-
-let current () = cur ()
+let current () = (Domain.DLS.get cur_key).cur
 let set_current r = (Domain.DLS.get cur_key).cur <- r
+
+(** The ambient registry, or a fresh private one when none is installed. *)
+let current_or_new () = match current () with Some r -> r | None -> create ()
 
 let with_current r f =
   let slot = Domain.DLS.get cur_key in
   let saved = slot.cur in
   slot.cur <- Some r;
-  match f () with
-  | v ->
-    slot.cur <- saved;
-    v
-  | exception e ->
-    slot.cur <- saved;
-    raise e
+  Fun.protect ~finally:(fun () -> slot.cur <- saved) f
 
 (* ---- find-or-create ---- *)
 
+(** The typed handle of counter [name]: resolve it once, then record with
+    [add]/[incr]. It is listed in snapshots from its first record on. *)
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-    let c = { c_name = name; c_value = 0 } in
+    let c = { c_name = name; c_value = 0; c_live = false } in
     Hashtbl.replace t.counters name c;
     c
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> g
-  | None ->
-    let g = { g_name = name; g_value = 0 } in
-    Hashtbl.replace t.gauges name g;
-    g
 
 let new_hist name =
   {
@@ -196,10 +181,35 @@ let span t name =
 
 (* ---- recording ---- *)
 
-let add c by = c.c_value <- c.c_value + by
+let add c by =
+  c.c_value <- c.c_value + by;
+  c.c_live <- true
+
 let incr c = add c 1
-let value (c : counter) = c.c_value
-let set (g : gauge) v = g.g_value <- v
+
+(* placeholder for a family member not resolved yet; never recorded into *)
+let unresolved = { c_name = ""; c_value = 0; c_live = false }
+
+(** A family of counters indexed by a small int (a call-site ordinal, say),
+    member [i] named [name i]. Each member is resolved on its first
+    record, so creating a family costs no name builds or lookups. *)
+type family = { f_reg : t; f_name : int -> string; f_at : counter array }
+
+let family t ~size name =
+  { f_reg = t; f_name = name; f_at = Array.make size unresolved }
+
+(** Add [by] to member [i] of family [f]. *)
+let add_at f i by =
+  let c = f.f_at.(i) in
+  let c =
+    if c != unresolved then c
+    else begin
+      let c = counter f.f_reg (f.f_name i) in
+      f.f_at.(i) <- c;
+      c
+    end
+  in
+  add c by
 
 (* bucket index = number of significant bits of v; 0 maps to bucket 0 *)
 let bucket_of v =
@@ -223,13 +233,13 @@ let observe h v =
   h.h_counts.(b) <- h.h_counts.(b) + 1
 
 (** Add [by] to counter [name] of registry [t] (find-or-create). *)
-let add_to t name by = if t.enabled then add (counter t name) by
+let add_to t name by = add (counter t name) by
 
 (** Convenience: bump a counter on the ambient registry, if any. *)
 let cur_add name by =
-  match cur () with
+  match current () with
   | None -> ()
-  | Some t -> if t.enabled then add (counter t name) by
+  | Some t -> add (counter t name) by
 
 let push_event t ev =
   if t.n_events >= t.max_events then t.dropped_events <- t.dropped_events + 1
@@ -240,17 +250,14 @@ let push_event t ev =
 
 (** Record an instant event (crash, flush, fence) on the current track. *)
 let instant t name =
-  if tracing t then
+  if t.tracing then
     push_event t (Instant { ev_name = name; ev_track = track (); ev_t = now () })
-
-let cur_instant name =
-  match cur () with None -> () | Some t -> instant t name
 
 (** Name a track (fiber) for the trace export. *)
 let name_track t tid name = Hashtbl.replace t.track_names tid name
 
 let cur_name_track tid name =
-  match cur () with None -> () | Some t -> name_track t tid name
+  match current () with None -> () | Some t -> name_track t tid name
 
 (* ---- spans ---- *)
 
@@ -263,75 +270,64 @@ let track_info t tid =
     i
 
 let span_enter t sp =
-  if t.enabled then begin
-    let tid = track () in
-    let stack =
-      match Hashtbl.find_opt t.stacks tid with Some s -> s | None -> []
-    in
-    Hashtbl.replace t.stacks tid
-      ({ fr_span = sp; fr_t0 = now (); fr_child = 0 } :: stack)
-  end
+  let tid = track () in
+  let stack =
+    match Hashtbl.find_opt t.stacks tid with Some s -> s | None -> []
+  in
+  Hashtbl.replace t.stacks tid
+    ({ fr_span = sp; fr_t0 = now (); fr_child = 0 } :: stack)
 
 let span_exit t sp =
-  if t.enabled then begin
-    let tid = track () in
-    match Hashtbl.find_opt t.stacks tid with
-    | None | Some [] -> () (* unbalanced exit: ignore *)
-    | Some (fr :: rest) ->
-      if fr.fr_span != sp then begin
-        (* unbalanced (an exception unwound past an enter): pop down to the
-           matching frame, discarding orphans rather than mis-attributing
-           their time; if [sp] isn't open on this track at all, ignore *)
-        if List.exists (fun f -> f.fr_span == sp) rest then begin
-          let rec drop = function
-            | f :: tl when f.fr_span != sp -> drop tl
-            | _ :: tl -> tl
-            | [] -> []
-          in
-          Hashtbl.replace t.stacks tid (drop rest)
-        end
+  let tid = track () in
+  match Hashtbl.find_opt t.stacks tid with
+  | None | Some [] -> () (* unbalanced exit: ignore *)
+  | Some (fr :: rest) ->
+    if fr.fr_span != sp then begin
+      (* unbalanced (an exception unwound past an enter): pop down to the
+         matching frame, discarding orphans rather than mis-attributing
+         their time; if [sp] isn't open on this track at all, ignore *)
+      if List.exists (fun f -> f.fr_span == sp) rest then begin
+        let rec drop = function
+          | f :: tl when f.fr_span != sp -> drop tl
+          | _ :: tl -> tl
+          | [] -> []
+        in
+        Hashtbl.replace t.stacks tid (drop rest)
       end
-      else begin
-        Hashtbl.replace t.stacks tid rest;
-        let t1 = now () in
-        let dur = t1 - fr.fr_t0 in
-        observe sp.sp_hist dur;
-        sp.sp_self <- sp.sp_self + dur - fr.fr_child;
-        (match rest with
-         | parent :: _ -> parent.fr_child <- parent.fr_child + dur
-         | [] ->
-           let info = track_info t tid in
-           if fr.fr_t0 < info.tk_first then info.tk_first <- fr.fr_t0;
-           if t1 > info.tk_last then info.tk_last <- t1;
-           info.tk_covered <- info.tk_covered + dur);
-        if t.tracing && sp.sp_hist.h_n mod t.sample_events = 0 then
-          push_event t
-            (Complete
-               { ev_name = sp.sp_name; ev_track = tid; ev_t0 = fr.fr_t0;
-                 ev_dur = dur })
-      end
-  end
+    end
+    else begin
+      Hashtbl.replace t.stacks tid rest;
+      let t1 = now () in
+      let dur = t1 - fr.fr_t0 in
+      observe sp.sp_hist dur;
+      sp.sp_self <- sp.sp_self + dur - fr.fr_child;
+      (match rest with
+       | parent :: _ -> parent.fr_child <- parent.fr_child + dur
+       | [] ->
+         let info = track_info t tid in
+         if fr.fr_t0 < info.tk_first then info.tk_first <- fr.fr_t0;
+         if t1 > info.tk_last then info.tk_last <- t1;
+         info.tk_covered <- info.tk_covered + dur);
+      if t.tracing && sp.sp_hist.h_n mod t.sample_events = 0 then
+        push_event t
+          (Complete
+             { ev_name = sp.sp_name; ev_track = tid; ev_t0 = fr.fr_t0;
+               ev_dur = dur })
+    end
 
 (** Run [f] inside span [sp]. Exception-safe: the span is closed (and its
     time recorded) even if [f] raises — the crash fuzzer aborts fibers by
     raising from a memory-access hook, and an unwound span must not
     corrupt the nesting of later spans on the same track. *)
 let with_span t sp f =
-  if not t.enabled then f ()
-  else begin
-    span_enter t sp;
-    match f () with
-    | v ->
-      span_exit t sp;
-      v
-    | exception e ->
-      span_exit t sp;
-      raise e
-  end
-
-(** Drop any open span frames (e.g. fibers abandoned by a simulated power
-    failure mid-span). Call between runs that share a registry. *)
-let reset_stacks t = Hashtbl.reset t.stacks
+  span_enter t sp;
+  match f () with
+  | v ->
+    span_exit t sp;
+    v
+  | exception e ->
+    span_exit t sp;
+    raise e
 
 (* ---- snapshots ---- *)
 
@@ -349,7 +345,6 @@ type span_stats = { ss_stats : hist_stats; ss_self : int }
 
 type snapshot = {
   sn_counters : (string * int) list; (* sorted by name *)
-  sn_gauges : (string * int) list;
   sn_hists : (string * hist_stats) list;
   sn_spans : (string * span_stats) list;
   sn_wall : int; (* latest depth-0 span end across tracks *)
@@ -361,7 +356,6 @@ type snapshot = {
 let empty_snapshot =
   {
     sn_counters = [];
-    sn_gauges = [];
     sn_hists = [];
     sn_spans = [];
     sn_wall = 0;
@@ -418,8 +412,10 @@ let snapshot t =
       end)
     t.tracks;
   {
-    sn_counters = sorted_bindings t.counters (fun c -> c.c_value);
-    sn_gauges = sorted_bindings t.gauges (fun g -> g.g_value);
+    sn_counters =
+      sorted_bindings t.counters Fun.id
+      |> List.filter_map (fun (k, c) ->
+             if c.c_live then Some (k, c.c_value) else None);
     sn_hists = sorted_bindings t.histograms hist_stats;
     sn_spans =
       sorted_bindings t.spans (fun s ->
@@ -432,35 +428,6 @@ let snapshot t =
 
 let find_counter snap name =
   match List.assoc_opt name snap.sn_counters with Some v -> v | None -> 0
-
-(* ---- cross-registry merge ---- *)
-
-let merge_hist dst src =
-  dst.h_n <- dst.h_n + src.h_n;
-  dst.h_sum <- dst.h_sum + src.h_sum;
-  if src.h_n > 0 && src.h_min < dst.h_min then dst.h_min <- src.h_min;
-  if src.h_max > dst.h_max then dst.h_max <- src.h_max;
-  Array.iteri
-    (fun i c -> dst.h_counts.(i) <- dst.h_counts.(i) + c)
-    src.h_counts
-
-(** Merge every metric of [src] into [into] (Harness.Campaign's
-    order-independent result merge): counters and histogram buckets sum,
-    gauges take [src]'s last-written value, spans merge their histograms
-    and add their self-time totals. All of it is commutative except
-    gauges, so absorbing per-task registries in task order yields the same
-    registry regardless of which domain ran which task. Track extents and
-    trace events are single-run artifacts and are not merged. *)
-let absorb ~into src =
-  Hashtbl.iter (fun name c -> add (counter into name) c.c_value) src.counters;
-  Hashtbl.iter (fun name g -> set (gauge into name) g.g_value) src.gauges;
-  Hashtbl.iter (fun name h -> merge_hist (histogram into name) h) src.histograms;
-  Hashtbl.iter
-    (fun name s ->
-      let d = span into name in
-      merge_hist d.sp_hist s.sp_hist;
-      d.sp_self <- d.sp_self + s.sp_self)
-    src.spans
 
 (* ---- event access (trace export) ---- *)
 

@@ -11,6 +11,9 @@ let fresh ?(bg_period = 0) () = Memory.make ~bg_period ()
 
 let in_sim f = Sim.run_one f
 
+(* a derived flush count of [m] (a bench-record flush key) *)
+let count m key = Telemetry.Json.derived (Memory.counters m) key
+
 (* ---- basic load/store ---- *)
 
 let test_read_write () =
@@ -146,9 +149,8 @@ let test_background_flush_persists_sometimes () =
       for i = 0 to 499 do
         Memory.write m (Memory.addr_of ~aid ~offset:(8 * (i + 1))) (i + 1)
       done;
-      let stats = Memory.stats m in
       check_bool "some background flushes happened" true
-        (stats.Memory.bg_flushes > 0);
+        (count m "bg_flushes" > 0);
       Memory.crash m;
       let survived = ref 0 in
       for i = 0 to 499 do
@@ -325,15 +327,14 @@ let test_flit_clean_clwb_elided () =
       Memory.write m a 42;
       Memory.clwb ~site:Persist.Test m a;
       Memory.sfence ~site:Persist.Test m;
-      let s = Memory.stats m in
-      check "first clwb issued" 1 s.Memory.clwb;
+      check "first clwb issued" 1 (count m "clwb");
       let media_before = Array.init 8 (fun i -> Memory.peek_media m (a - (a mod 8) + i)) in
       let t0 = Sim.now () in
       Memory.clwb ~site:Persist.Test m a;
       let dt = Sim.now () - t0 in
       let media_after = Array.init 8 (fun i -> Memory.peek_media m (a - (a mod 8) + i)) in
-      check "clwb on clean line elided" 1 s.Memory.clwb_elided;
-      check "no new write-back issued" 1 s.Memory.clwb;
+      check "clwb on clean line elided" 1 (count m "clwb_elided");
+      check "no new write-back issued" 1 (count m "clwb");
       check_bool "media unchanged" true (media_before = media_after);
       check "tag check is cheap" (Sim.costs ()).Sim.Costs.flush_tag_check dt;
       Memory.crash m;
@@ -348,9 +349,8 @@ let test_flit_clwb_coalesces () =
       Memory.clwb ~site:Persist.Test m a;
       Memory.write m a 2;
       Memory.clwb ~site:Persist.Test m a;
-      let s = Memory.stats m in
-      check "one real write-back" 1 s.Memory.clwb;
-      check "second coalesced into WPQ entry" 1 s.Memory.clwb_coalesced;
+      check "one real write-back" 1 (count m "clwb");
+      check "second coalesced into WPQ entry" 1 (count m "clwb_coalesced");
       Memory.sfence ~site:Persist.Test m;
       Memory.crash m;
       check "newest capture wins" 2 (Memory.peek m a))
@@ -363,14 +363,14 @@ let test_flit_empty_sfence_free () =
       let t0 = Sim.now () in
       Memory.sfence ~site:Persist.Test m;
       check "empty WPQ: no drain cost" 0 (Sim.now () - t0);
-      check "counted as elided" 1 (Memory.stats m).Memory.sfence_elided;
+      check "counted as elided" 1 (count m "sfence_elided");
       (* a fence with work still pays *)
       Memory.write m a 9;
       Memory.clwb ~site:Persist.Test m a;
       let t1 = Sim.now () in
       Memory.sfence ~site:Persist.Test m;
       check_bool "non-empty WPQ charges" true (Sim.now () - t1 > 0);
-      check "real fence counted" 1 (Memory.stats m).Memory.sfence)
+      check "real fence counted" 1 (count m "sfence"))
 
 let test_flit_clflush_elided_when_persisted () =
   in_sim (fun () ->
@@ -380,9 +380,8 @@ let test_flit_clflush_elided_when_persisted () =
       Memory.write m a 5;
       Memory.clflush ~site:Persist.Test m a;
       Memory.clflush ~site:Persist.Test m a;
-      let s = Memory.stats m in
-      check "one real clflush" 1 s.Memory.clflush;
-      check "second elided" 1 s.Memory.clflush_elided;
+      check "one real clflush" 1 (count m "clflush");
+      check "second elided" 1 (count m "clflush_elided");
       Memory.crash m;
       check "durable" 5 (Memory.peek m a))
 
@@ -436,17 +435,16 @@ let prop_flit_media_matches_baseline =
                   List.map (fun (off, _) -> Memory.peek m (addr off)) writes)
                 rounds
             in
-            (media, Memory.stats m)
+            (media, count m)
           in
           let media_b, sb = run false in
           let media_f, sf = run true in
           media_b = media_f
-          && sf.Memory.clwb + sf.Memory.clwb_elided + sf.Memory.clwb_coalesced
-             = sb.Memory.clwb
-          && sf.Memory.sfence + sf.Memory.sfence_elided = sb.Memory.sfence
-          && sb.Memory.clwb_elided = 0
-          && sb.Memory.clwb_coalesced = 0
-          && sb.Memory.sfence_elided = 0))
+          && sf "clwb" + sf "clwb_elided" + sf "clwb_coalesced" = sb "clwb"
+          && sf "sfence" + sf "sfence_elided" = sb "sfence"
+          && sb "clwb_elided" = 0
+          && sb "clwb_coalesced" = 0
+          && sb "sfence_elided" = 0))
 
 (* ---- property tests ---- *)
 

@@ -19,6 +19,9 @@ let check_str = Alcotest.(check string)
 let in_sim f = Sim.run_one f
 let fresh () = Memory.make ~bg_period:0 ()
 
+(* a derived flush count or policy total of [m] *)
+let count m key = Telemetry.Json.derived (Memory.counters m) key
+
 let policy_of_spec spec =
   match Persist.of_spec spec with
   | Ok p -> p
@@ -48,10 +51,9 @@ let test_default_policy_emits () =
       Memory.clflush ~site:Persist.Test m a;
       Memory.crash m;
       check "clflush under Emit is durable" 77 (Memory.peek m a);
-      let st = Memory.stats m in
       check "no policy accounting" 0
-        (st.Memory.policy_elided + st.Memory.policy_downgraded
-       + st.Memory.policy_deferred))
+        (count m "policy_elided" + count m "policy_downgraded"
+       + count m "policy_deferred"))
 
 let test_elide_clflush () =
   in_sim (fun () ->
@@ -61,9 +63,8 @@ let test_elide_clflush () =
       Memory.set_policy m p;
       let a = dirty_word m in
       Memory.clflush ~site:Persist.Test m a;
-      let st = Memory.stats m in
-      check "instruction removed" 0 st.Memory.clflush;
-      check "accounted as policy-elided" 1 st.Memory.policy_elided;
+      check "instruction removed" 0 (count m "clflush");
+      check "accounted as policy-elided" 1 (count m "policy_elided");
       Memory.crash m;
       check "write lost: elision removed durability" 0 (Memory.peek m a))
 
@@ -76,9 +77,8 @@ let test_downgrade_clflush () =
       Memory.set_policy m p;
       let a = dirty_word m in
       Memory.clflush ~site:Persist.Test m a;
-      let st = Memory.stats m in
-      check "no blocking flush" 0 st.Memory.clflush;
-      check "downgrade accounted" 1 st.Memory.policy_downgraded;
+      check "no blocking flush" 0 (count m "clflush");
+      check "downgrade accounted" 1 (count m "policy_downgraded");
       Memory.sfence ~site:Persist.Log_fence m;
       Memory.crash m;
       check "downgraded write durable after fence" 77 (Memory.peek m a));
@@ -103,9 +103,8 @@ let test_defer_sfence () =
       let a = dirty_word m in
       Memory.clwb ~site:Persist.Log_fence m a;
       Memory.sfence ~site:Persist.Test m;
-      let st = Memory.stats m in
-      check "fence skipped" 0 st.Memory.sfence;
-      check "defer accounted" 1 st.Memory.policy_deferred;
+      check "fence skipped" 0 (count m "sfence");
+      check "defer accounted" 1 (count m "policy_deferred");
       Memory.crash m;
       check "write lost in the deferral window" 0 (Memory.peek m a));
   in_sim (fun () ->
@@ -128,9 +127,8 @@ let test_elide_clwb () =
       Memory.set_policy m p;
       let a = dirty_word m in
       Memory.clwb ~site:Persist.Test m a;
-      let st = Memory.stats m in
-      check "clwb removed" 0 st.Memory.clwb;
-      check "accounted" 1 st.Memory.policy_elided;
+      check "clwb removed" 0 (count m "clwb");
+      check "accounted" 1 (count m "policy_elided");
       Memory.sfence ~site:Persist.Log_fence m;
       Memory.crash m;
       check "nothing queued, so the fence saves nothing" 0 (Memory.peek m a))

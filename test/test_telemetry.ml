@@ -11,7 +11,7 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-(* ---- registry: counters and gauges ---- *)
+(* ---- registry: counters ---- *)
 
 let test_counters () =
   let reg = R.create () in
@@ -23,21 +23,22 @@ let test_counters () =
   check "b" 1 (R.find_counter snap "b");
   check "absent is 0" 0 (R.find_counter snap "zzz");
   check_bool "sorted by name" true
-    (snap.R.sn_counters = List.sort compare snap.R.sn_counters)
-
-let test_disabled_registry_records_nothing () =
-  let reg = R.create ~enabled:false () in
-  R.add_to reg "a" 3;
-  R.instant reg "boom";
-  let snap = R.snapshot reg in
-  check "no counters" 0 (List.length snap.R.sn_counters);
-  check "no events" 0 (R.n_events reg)
+    (snap.R.sn_counters = List.sort compare snap.R.sn_counters);
+  (* a handle is listed from its first record on, even a zero one *)
+  let _never = R.counter reg "never" in
+  R.add (R.counter reg "zero") 0;
+  let fam = R.family reg ~size:4 (Printf.sprintf "fam@%d") in
+  R.add_at fam 2 5;
+  R.add_at fam 2 1;
+  Alcotest.(check (list (pair string int)))
+    "only recorded counters listed"
+    [ ("a", 7); ("b", 1); ("fam@2", 6); ("zero", 0) ]
+    (R.snapshot reg).R.sn_counters
 
 let test_cur_add_without_ambient_registry () =
   (* must be a silent no-op, not a crash: this is the default path *)
   R.set_current None;
   R.cur_add "x" 1;
-  R.cur_instant "y";
   check_bool "no ambient registry" true (R.current () = None)
 
 let test_with_current_restores () =
@@ -54,7 +55,7 @@ let test_with_current_restores () =
 
 (* ---- registry: histograms ---- *)
 
-let test_histogram_stats () =
+let test_histogram_summary () =
   let reg = R.create () in
   let h = R.histogram reg "lat" in
   for v = 1 to 100 do
@@ -271,26 +272,29 @@ module Hm = Experiment.Systems (Seqds.Hashmap)
 
 let small_topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
 
+(* every flush source runs: the allocator's heap walk (flush_arena), FliT
+   coalescing and clean-line elision, and a policy that elides,
+   downgrades and defers *)
 let run_point ?telemetry () =
+  let policy =
+    Nvm.Persist.of_spec
+      "prep.init=elide,prep.completed_tail=downgrade-to-clwb,\
+       prep.checkpoint=defer-to-next-fence"
+  in
   Experiment.run ?telemetry ~seed:90L ~topology:small_topology
     ~duration_ns:400_000 ~warmup_ns:50_000
     ~system:
       (Hm.prep ~log_size:4096 ~flit:true ~dist_rw:true ~log_mirror:true
-         ~slot_bitmap:true ~mode:Prep.Config.Durable ~epsilon:256 ())
+         ~slot_bitmap:true ~persist_policy:(Result.get_ok policy)
+         ~mode:Prep.Config.Durable ~epsilon:256 ())
     ~workload:(Workload.map_workload ~read_pct:50 ~key_range:512 ~prefill_n:128)
     ~workers:5 ()
 
 let test_experiment_same_with_telemetry () =
   let off = run_point () in
   let on = run_point ~telemetry:(R.create ~tracing:true ()) () in
-  check "same ops" off.Experiment.ops on.Experiment.ops;
-  check "same clwb" off.Experiment.clwb on.Experiment.clwb;
-  check "same clflush" off.Experiment.clflush on.Experiment.clflush;
-  check "same sfence" off.Experiment.sfence on.Experiment.sfence;
-  check "same elisions" off.Experiment.clwb_elided on.Experiment.clwb_elided;
-  Alcotest.(check (list (pair string int)))
-    "same legacy counters"
-    (Experiment.counters off) (Experiment.counters on)
+  check_str "same bench record" (Experiment.to_json off)
+    (Experiment.to_json on)
 
 let test_experiment_phase_coverage () =
   (* acceptance: the phase breakdown's total must be within 5% of the
@@ -314,6 +318,70 @@ let test_experiment_phase_coverage () =
   List.iter
     (fun phase -> check_bool (phase ^ " in profile") true (contains rendered phase))
     Prep.Phases.phase_names
+
+(* ---- one counter pipeline ----
+
+   Every reported flush count against its registry source: the bench
+   record, the [run]/[profile] memory and flit lines, the [profile]
+   counter table and the policy totals' per-site counters. *)
+
+let test_reports_are_registry () =
+  let r = run_point ~telemetry:(R.create ()) () in
+  let snap = r.Experiment.telemetry in
+  let table =
+    String.split_on_char '\n' (Profile.render_counters snap)
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> Scanf.sscanf l " %s %d" (fun k v -> (k, v)))
+  in
+  let row name = Option.value (List.assoc_opt name table) ~default:0 in
+  let memory_line =
+    Scanf.sscanf (Profile.render_memory snap)
+      "memory: %d wbinvd, %d clwb, %d clflush, %d fences, %d bg-flushes \
+       flit: %d clwb elided, %d clwb coalesced, %d clflush elided, %d \
+       fences elided"
+      (fun w c cf sf bg ce cc cfe sfe ->
+        [ ("wbinvd", w); ("clwb", c); ("clflush", cf); ("sfence", sf);
+          ("bg_flushes", bg); ("clwb_elided", ce); ("clwb_coalesced", cc);
+          ("clflush_elided", cfe); ("sfence_elided", sfe) ])
+  in
+  List.iter
+    (fun name -> check_bool (name ^ " exercised") true (row name > 0))
+    [ "nvm.flush_arena_lines"; "nvm.clwb_coalesced"; "nvm.clwb_elided" ];
+  let sources =
+    [ ("wbinvd", row "nvm.wbinvd");
+      ("clwb", row "nvm.clwb" + row "nvm.flush_arena_lines");
+      ("clwb_elided", row "nvm.clwb_elided");
+      ("clwb_coalesced", row "nvm.clwb_coalesced");
+      ("clflush", row "nvm.clflush");
+      ("clflush_elided", row "nvm.clflush_elided");
+      ("sfence", row "nvm.sfence");
+      ("sfence_elided", row "nvm.sfence_elided");
+      ("bg_flushes", row "nvm.bg_flush") ]
+  in
+  let record = Json.parse (Experiment.to_json r) in
+  List.iter
+    (fun key ->
+      let want = List.assoc key sources in
+      check_bool ("bench record " ^ key) true
+        (Json.member key record = Some (Json.Num (float_of_int want)));
+      check ("memory line " ^ key) want (List.assoc key memory_line))
+    Json.flush_keys;
+  List.iter
+    (fun (key, p) ->
+      let per_site =
+        List.fold_left
+          (fun acc (name, v) ->
+            match Nvm.Persist.split_counter name with
+            | Some (metric, _) when p metric -> acc + v
+            | _ -> acc)
+          0 snap.R.sn_counters
+      in
+      check_bool (key ^ " exercised") true (per_site > 0);
+      check (key ^ " = sum of its per-site counters") per_site
+        (Json.derived snap key))
+    [ ("policy_elided", String.ends_with ~suffix:"_policy_elided");
+      ("policy_downgraded", ( = ) "clflush_downgraded");
+      ("policy_deferred", ( = ) "sfence_deferred") ]
 
 (* ---- zero-divergence: differential crash-point fuzzing ---- *)
 
@@ -380,13 +448,11 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters sum" `Quick test_counters;
-          Alcotest.test_case "disabled records nothing" `Quick
-            test_disabled_registry_records_nothing;
           Alcotest.test_case "no ambient registry" `Quick
             test_cur_add_without_ambient_registry;
           Alcotest.test_case "with_current restores" `Quick
             test_with_current_restores;
-          Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
+          Alcotest.test_case "histogram stats" `Quick test_histogram_summary;
           Alcotest.test_case "single-value percentiles" `Quick
             test_histogram_single_value_is_exact;
         ] );
@@ -423,5 +489,10 @@ let () =
             test_experiment_phase_coverage;
           Alcotest.test_case "fuzz differential on/off" `Quick
             test_fuzz_differential_telemetry_on_off;
+        ] );
+      ( "one-pipeline",
+        [
+          Alcotest.test_case "reported flush counts = registry" `Quick
+            test_reports_are_registry;
         ] );
     ]
