@@ -10,7 +10,9 @@
     - [Sim] runs in controlled-scheduler mode: every fiber-facing memory
       operation is a scheduling choice point, and the explorer drives a
       depth-first search over the choice tree, re-executing the workload
-      from scratch along each schedule (stateless search). A schedule is
+      from scratch on a reset memory along each schedule (stateless
+      search; [Memory.reset] keeps the arenas, so a schedule costs what it
+      touches, not fresh 64 k-word arenas). A schedule is
       identified by its decision trace — the fid chosen at every branching
       point — which makes any run replayable bit-for-bit.
     - At every explored step it enumerates *every reachable crash
@@ -340,13 +342,15 @@ module Make (S : Sut.S) = struct
     mutable last_ghost : int;
   }
 
-  let new_run ~scope topo =
+  let new_memory ~scope =
+    Memory.make
+      ~seed:(Int64.of_int (scope.seed + 7919))
+      ~sockets:scope.sockets ~bg_period:0 ()
+
+  let new_run topo mem =
     {
       sim = Sim.create topo;
-      mem =
-        Memory.make
-          ~seed:(Int64.of_int (scope.seed + 7919))
-          ~sockets:scope.sockets ~bg_period:0 ();
+      mem;
       uc = None;
       runtime = false;
       done_count = 0;
@@ -453,6 +457,8 @@ module Make (S : Sut.S) = struct
     let topo = topology scope in
     let workload = gen_workload ~gen_op ~scope in
     let stats = new_stats () in
+    (* one memory for the whole search, reset at the start of each schedule *)
+    let mem = new_memory ~scope in
     (* state key -> sleep-set signatures it was explored under. Plain
        state caching is unsound combined with sleep sets (Godefroid): a
        state first visited under sleep set C only explores transitions
@@ -481,8 +487,8 @@ module Make (S : Sut.S) = struct
     let run_once () =
       let prefix_nodes = Array.of_list (List.rev !path) in
       let process_from = Array.length prefix_nodes - 1 in
-      let r = new_run ~scope topo in
-      let mem = r.mem in
+      Memory.reset mem;
+      let r = new_run topo mem in
       (* Per-fiber control state, tracked *exactly*: a hash chain over the
          fiber's entire observation history — every access it performed,
          with address, kind and the value read or written. The fibers run
@@ -840,7 +846,7 @@ module Make (S : Sut.S) = struct
     let topo = topology scope in
     let workload = gen_workload ~gen_op ~scope in
     let decisions = Array.of_list decisions in
-    let r = new_run ~scope topo in
+    let r = new_run topo (new_memory ~scope) in
     let decision_idx = ref 0 in
     let step_idx = ref 0 in
     (* the same await-parking as [explore]: decision traces only record

@@ -23,11 +23,15 @@ type kind = Dram | Nvm
 
 type arena = {
   aid : int;
-  kind : kind;
-  home : int; (* socket the arena is homed on *)
+  mutable kind : kind;
+  mutable home : int; (* socket the arena is homed on *)
   values : int array; (* coherent view, what loads observe *)
-  media : int array; (* persisted view; length 0 for DRAM arenas *)
+  mutable media : int array; (* persisted view; length 0 for DRAM arenas *)
   dirty : Bytes.t; (* per line: 0 = clean, 1 + socket = dirty in that socket's cache *)
+  mutable hi : int;
+      (* touched-line high-water mark: every line at or beyond [hi] is zero
+         in [values], [media] and [dirty], so zeroing, copying and crashing
+         an arena only has to cover lines [0, hi) *)
 }
 
 (* ---- counters ----
@@ -144,7 +148,9 @@ let pending_entry_h key words = h2 key (words_h key words)
 
 let dummy_arena =
   { aid = -1; kind = Dram; home = 0; values = [||]; media = [||];
-    dirty = Bytes.create 0 }
+    dirty = Bytes.create 0; hi = 0 }
+
+let touch arena line = if line >= arena.hi then arena.hi <- line + 1
 
 type t = {
   mutable m_arenas : arena array;
@@ -155,6 +161,8 @@ type t = {
   m_pending_tbl : (int, int array) Hashtbl.t;
       (* flit-mode WPQ: dirty_key -> captured line words (newest capture wins) *)
   m_rng : Sim.Rng.t;
+  m_seed : int64;
+  m_flit_at_make : bool;
   m_bg_period : int;
   mutable m_countdown : int;
   m_reg : R.t;
@@ -177,6 +185,8 @@ type t = {
          hardware instruction stream exactly as written *)
 }
 
+let initial_countdown bg_period = if bg_period = 0 then max_int else bg_period
+
 let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) ?(flit = false) () =
   let reg = R.current_or_new () in
   {
@@ -187,8 +197,10 @@ let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) ?(flit = false) () =
     m_flit = flit;
     m_pending_tbl = Hashtbl.create 256;
     m_rng = Sim.Rng.create seed;
+    m_seed = seed;
+    m_flit_at_make = flit;
     m_bg_period = bg_period;
-    m_countdown = (if bg_period = 0 then max_int else bg_period);
+    m_countdown = initial_countdown bg_period;
     m_reg = reg;
     m_c = resolve_handles reg;
     m_op_index = 0;
@@ -306,25 +318,54 @@ let media_hash m = m.m_media_hash
 let dirty_hash m = m.m_dirty_hash
 let wpq_hash m = m.m_wpq_hash
 
-(** Allocate a fresh arena homed on [home]. Returns the arena id. *)
+(* Zero lines [lo, arena.hi) of every array of [arena] and lower [hi] to
+   [lo]. Leaves the fingerprints alone: callers only clear content that
+   they are dropping from the memory's state anyway. *)
+let clear_from arena lo =
+  if arena.hi > lo then begin
+    let w = lo * line_words and n = (arena.hi - lo) * line_words in
+    Array.fill arena.values w n 0;
+    if Array.length arena.media > 0 then Array.fill arena.media w n 0;
+    Bytes.fill arena.dirty lo (arena.hi - lo) '\000';
+    arena.hi <- lo
+  end
+
+(* Turn an all-zero arena into one of [kind] homed on [home]: an NVM arena
+   keeps (or gets) a media array, a DRAM arena has none. *)
+let retarget arena ~kind ~home =
+  arena.kind <- kind;
+  arena.home <- home;
+  match kind with
+  | Nvm -> if Array.length arena.media = 0 then arena.media <- Array.make arena_words 0
+  | Dram -> arena.media <- [||]
+
+(** Allocate a zeroed arena homed on [home]. Returns the arena id. An
+    arena left beyond the live count by [restore] or [reset] is reused as
+    a spare: only its touched lines are zeroed, so an arena is allocated
+    once per memory, not once per run. *)
 let new_arena m ~kind ~home =
   if m.m_count = Array.length m.m_arenas then begin
     let bigger = Array.make (2 * Array.length m.m_arenas) dummy_arena in
-    Array.blit m.m_arenas 0 bigger 0 m.m_count;
+    Array.blit m.m_arenas 0 bigger 0 (Array.length m.m_arenas);
     m.m_arenas <- bigger
   end;
   let aid = m.m_count in
-  let arena =
-    {
-      aid;
-      kind;
-      home;
-      values = Array.make arena_words 0;
-      media = (match kind with Nvm -> Array.make arena_words 0 | Dram -> [||]);
-      dirty = Bytes.make lines_per_arena '\000';
-    }
-  in
-  m.m_arenas.(aid) <- arena;
+  let spare = m.m_arenas.(aid) in
+  if spare == dummy_arena then
+    m.m_arenas.(aid) <-
+      {
+        aid;
+        kind;
+        home;
+        values = Array.make arena_words 0;
+        media = (match kind with Nvm -> Array.make arena_words 0 | Dram -> [||]);
+        dirty = Bytes.make lines_per_arena '\000';
+        hi = 0;
+      }
+  else begin
+    clear_from spare 0;
+    retarget spare ~kind ~home
+  end;
   m.m_count <- m.m_count + 1;
   aid
 
@@ -345,6 +386,7 @@ let is_nvm m addr = (arena_of_addr m addr).kind = Nvm
 let set_value m arena off v =
   let old = arena.values.(off) in
   if old <> v then begin
+    touch arena (line_of_offset off);
     let addr = addr_of ~aid:arena.aid ~offset:off in
     m.m_value_hash <-
       m.m_value_hash lxor word_h addr old lxor word_h addr v;
@@ -354,6 +396,7 @@ let set_value m arena off v =
 let set_media_word m arena off v =
   let old = arena.media.(off) in
   if old <> v then begin
+    touch arena (line_of_offset off);
     let addr = addr_of ~aid:arena.aid ~offset:off in
     m.m_media_hash <-
       m.m_media_hash lxor word_h addr old lxor word_h addr v;
@@ -405,6 +448,7 @@ let mark_dirty m arena line socket =
       Hashtbl.remove m.m_dirty_by_socket.(d - 1) key
     end;
     m.m_dirty_hash <- m.m_dirty_hash lxor h2 key (socket + 1);
+    touch arena line;
     Bytes.set_uint8 arena.dirty line (socket + 1);
     Hashtbl.replace m.m_dirty_by_socket.(socket) key ()
   end
@@ -766,10 +810,11 @@ let crash m =
   R.instant m.m_reg "crash";
   for aid = 0 to m.m_count - 1 do
     let arena = m.m_arenas.(aid) in
-    (match arena.kind with
-     | Nvm -> Array.blit arena.media 0 arena.values 0 arena_words
-     | Dram -> Array.fill arena.values 0 arena_words 0);
-    Bytes.fill arena.dirty 0 (Bytes.length arena.dirty) '\000'
+    match arena.kind with
+    | Nvm ->
+      Array.blit arena.media 0 arena.values 0 (arena.hi * line_words);
+      Bytes.fill arena.dirty 0 arena.hi '\000'
+    | Dram -> clear_from arena 0
   done;
   Array.iter Hashtbl.reset m.m_dirty_by_socket;
   m.m_pending <- [];
@@ -846,9 +891,10 @@ let commit_line m key =
 
 type snap = {
   s_count : int;
-  s_values : int array array;
+  s_shape : (kind * int) array;  (* kind and home of every live arena *)
+  s_values : int array array;  (* the touched prefix of each arena *)
   s_media : int array array;
-  s_dirty : Bytes.t array;
+  s_dirty : Bytes.t array;  (* its length is the arena's [hi] *)
   s_dirty_tbls : (int, unit) Hashtbl.t array;
   s_pending : pending list;
   s_pending_tbl : (int, int array) Hashtbl.t;
@@ -859,16 +905,24 @@ type snap = {
   s_wpq_hash : int;
   s_op_index : int;
   s_countdown : int;
+  s_rng : int64;
 }
 
-(** Capture the complete simulated-memory state. Pending-line captures are
-    immutable once queued, so they are shared, not copied. *)
+(** Capture the complete simulated-memory state. Only each arena's touched
+    prefix is copied, so a snapshot costs what the run has used, not 64 k
+    words per arena. Pending-line captures are immutable once queued, so
+    they are shared, not copied. *)
 let snapshot m =
+  let live f = Array.init m.m_count (fun i -> f m.m_arenas.(i)) in
+  let words a = a.hi * line_words in
   {
     s_count = m.m_count;
-    s_values = Array.init m.m_count (fun i -> Array.copy m.m_arenas.(i).values);
-    s_media = Array.init m.m_count (fun i -> Array.copy m.m_arenas.(i).media);
-    s_dirty = Array.init m.m_count (fun i -> Bytes.copy m.m_arenas.(i).dirty);
+    s_shape = live (fun a -> (a.kind, a.home));
+    s_values = live (fun a -> Array.sub a.values 0 (words a));
+    s_media =
+      live (fun a ->
+          if Array.length a.media = 0 then [||] else Array.sub a.media 0 (words a));
+    s_dirty = live (fun a -> Bytes.sub a.dirty 0 a.hi);
     s_dirty_tbls = Array.map Hashtbl.copy m.m_dirty_by_socket;
     s_pending = m.m_pending;
     s_pending_tbl = Hashtbl.copy m.m_pending_tbl;
@@ -879,20 +933,31 @@ let snapshot m =
     s_wpq_hash = m.m_wpq_hash;
     s_op_index = m.m_op_index;
     s_countdown = m.m_countdown;
+    s_rng = m.m_rng.Sim.Rng.state;
   }
 
 (** Restore a snapshot taken on this memory. Arenas allocated after the
-    snapshot become unreachable again (the arena counter rewinds), exactly
-    as if the interlude never happened. A snapshot may be restored any
-    number of times. *)
+    snapshot become unreachable again (the arena counter rewinds; they stay
+    behind as spares for [new_arena]), and the background-flush countdown
+    and random stream rewind with everything else, exactly as if the
+    interlude never happened. A snapshot may be restored any number of
+    times. *)
 let restore m s =
   m.m_count <- s.s_count;
   for aid = 0 to s.s_count - 1 do
     let a = m.m_arenas.(aid) in
-    Array.blit s.s_values.(aid) 0 a.values 0 arena_words;
-    if Array.length a.media > 0 then
-      Array.blit s.s_media.(aid) 0 a.media 0 arena_words;
-    Bytes.blit s.s_dirty.(aid) 0 a.dirty 0 (Bytes.length a.dirty)
+    let kind, home = s.s_shape.(aid) in
+    if a.kind <> kind || a.home <> home then begin
+      (* the slot was reallocated after a rewind to an older snapshot *)
+      clear_from a 0;
+      retarget a ~kind ~home
+    end;
+    let hi = Bytes.length s.s_dirty.(aid) in
+    clear_from a hi;
+    Array.blit s.s_values.(aid) 0 a.values 0 (hi * line_words);
+    if kind = Nvm then Array.blit s.s_media.(aid) 0 a.media 0 (hi * line_words);
+    Bytes.blit s.s_dirty.(aid) 0 a.dirty 0 hi;
+    a.hi <- hi
   done;
   Array.iteri
     (fun i tbl ->
@@ -909,4 +974,31 @@ let restore m s =
   m.m_dirty_hash <- s.s_dirty_hash;
   m.m_wpq_hash <- s.s_wpq_hash;
   m.m_op_index <- s.s_op_index;
-  m.m_countdown <- s.s_countdown
+  m.m_countdown <- s.s_countdown;
+  m.m_rng.Sim.Rng.state <- s.s_rng
+
+(** Return [m] to exactly the state [make] produced it in, with the same
+    seed, socket count, background-flush period and FliT flag: no live
+    arenas, empty caches and write-pending queue, rewound random stream
+    and operation index, no hooks, the default policy. The arenas stay
+    behind as spares, so a caller that runs many short executions (the
+    explorer re-runs its workload once per schedule) allocates them once.
+    The counter handles are kept: counts keep accumulating into the
+    registry captured at [make] (the explorer never reads its memory's
+    counts). *)
+let reset m =
+  m.m_count <- 0;
+  Array.iter Hashtbl.reset m.m_dirty_by_socket;
+  m.m_pending <- [];
+  m.m_flit <- m.m_flit_at_make;
+  Hashtbl.reset m.m_pending_tbl;
+  m.m_rng.Sim.Rng.state <- m.m_seed;
+  m.m_countdown <- initial_countdown m.m_bg_period;
+  m.m_op_index <- 0;
+  m.m_crash_hook <- None;
+  m.m_value_hash <- 0;
+  m.m_media_hash <- 0;
+  m.m_dirty_hash <- 0;
+  m.m_wpq_hash <- 0;
+  m.m_access_hook <- None;
+  m.m_policy <- Persist.default ()

@@ -195,9 +195,23 @@ let test_pruning_reduction () =
      still does not exhaust — measured at >10x on schedules and >20x on
      distinct states for both the one-op and two-op scopes. *)
   let scope = { scope_1w with Check.Explore.ops_per_worker = 1 } in
+  let allocated () =
+    let g = Gc.quick_stat () in
+    g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+  in
+  let before = allocated () in
   let pruned = explore ~scope (cfg Config.Buffered) in
+  let words = allocated () -. before in
   exhausted_clean "pruned one-op scope" pruned;
   let ps = pruned.Check.Explore.stats in
+  (* one memory serves every schedule ([Memory.reset]), so a schedule
+     allocates what it touches (~37 k words here), not fresh 64 k-word
+     arenas *)
+  let per_schedule = words /. float_of_int ps.Check.Explore.schedules in
+  check_bool
+    (Printf.sprintf "allocated words per schedule (%.0f) under 100 k"
+       per_schedule)
+    true (per_schedule < 100_000.);
   (* Exact figures of this scope (the CLI's verify scope): refactors of
      the engine must leave exploration byte-identical, so any drift here
      is a behaviour change, not noise. *)

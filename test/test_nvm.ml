@@ -446,6 +446,157 @@ let prop_flit_media_matches_baseline =
           && sb "clwb_coalesced" = 0
           && sb "sfence_elided" = 0))
 
+(* ---- snapshot / restore / reset ---- *)
+
+(* Write [n] words spread over [aid]'s lines from [from] on; [stride]
+   apart so the run touches many lines (and, under a background-flush
+   period, draws from the flush stream many times). *)
+let write_words m aid ~from ~n ~stride =
+  for i = 0 to n - 1 do
+    Memory.write m (Memory.addr_of ~aid ~offset:(8 + ((from + (i * stride)) mod 60_000))) (from + i + 1)
+  done
+
+(* Regression: [snapshot] must capture the background-flush random stream
+   as well as its countdown, or the run after a [restore] flushes
+   different lines than one that never took the detour. *)
+let test_restore_rewinds_background_flush_stream () =
+  in_sim (fun () ->
+      let run ~interlude =
+        let m = fresh ~bg_period:3 () in
+        let aid = Memory.new_arena m ~kind:Memory.Nvm ~home:0 in
+        write_words m aid ~from:0 ~n:200 ~stride:8;
+        if interlude then begin
+          let s = Memory.snapshot m in
+          write_words m aid ~from:5_000 ~n:100 ~stride:8;
+          Memory.restore m s
+        end;
+        write_words m aid ~from:10_000 ~n:200 ~stride:8;
+        Memory.media_hash m
+      in
+      check "media as if the interlude never happened" (run ~interlude:false)
+        (run ~interlude:true))
+
+(* The value and media fingerprints recomputed from scratch over every
+   word of every live arena. *)
+let hashes_from_scratch m =
+  let v = ref 0 and md = ref 0 in
+  for aid = 0 to Memory.arena_count m - 1 do
+    for offset = 0 to Memory.arena_words - 1 do
+      let addr = Memory.addr_of ~aid ~offset in
+      v := !v lxor Memory.word_h addr (Memory.peek m addr);
+      md := !md lxor Memory.word_h addr (Memory.peek_media m addr)
+    done
+  done;
+  (!v, !md)
+
+(* [b] (reset or restored) must be indistinguishable from [a] (fresh). *)
+let check_same_memory label a b =
+  let c what x y = check (label ^ ": " ^ what) x y in
+  c "arena count" (Memory.arena_count a) (Memory.arena_count b);
+  c "op index" (Memory.op_index a) (Memory.op_index b);
+  c "value hash" (Memory.value_hash a) (Memory.value_hash b);
+  c "media hash" (Memory.media_hash a) (Memory.media_hash b);
+  c "dirty hash" (Memory.dirty_hash a) (Memory.dirty_hash b);
+  c "wpq hash" (Memory.wpq_hash a) (Memory.wpq_hash b);
+  Alcotest.(check (list int))
+    (label ^ ": dirty NVM lines")
+    (Memory.dirty_nvm_line_keys a) (Memory.dirty_nvm_line_keys b);
+  let mismatches = ref 0 in
+  for aid = 0 to Memory.arena_count a - 1 do
+    let base = Memory.addr_of ~aid ~offset:0 in
+    check_bool (label ^ ": arena kind") (Memory.is_nvm a base) (Memory.is_nvm b base);
+    for offset = 0 to Memory.arena_words - 1 do
+      let addr = Memory.addr_of ~aid ~offset in
+      if Memory.peek a addr <> Memory.peek b addr
+         || Memory.peek_media a addr <> Memory.peek_media b addr
+      then incr mismatches
+    done
+  done;
+  c "words differing in values or media" 0 !mismatches;
+  let v, md = hashes_from_scratch b in
+  c "value hash recomputed from scratch" v (Memory.value_hash b);
+  c "media hash recomputed from scratch" md (Memory.media_hash b)
+
+(* The ops both memories run after the reset (or restore): arenas of
+   [kinds], writes, a fenced write-back of some lines, then unfenced
+   write-backs and dirty lines left behind. *)
+let drive m kinds =
+  let aids = List.map (fun kind -> (Memory.new_arena m ~kind ~home:0, kind)) kinds in
+  List.iteri
+    (fun i (aid, kind) ->
+      write_words m aid ~from:(i * 97) ~n:60 ~stride:13;
+      if kind = Memory.Nvm then
+        for k = 0 to 9 do
+          Memory.clwb ~site:Persist.Test m (Memory.addr_of ~aid ~offset:(8 + (k * 40)))
+        done)
+    aids;
+  Memory.sfence ~site:Persist.Test m;
+  List.iteri
+    (fun i (aid, kind) ->
+      write_words m aid ~from:(1_000 + i) ~n:20 ~stride:29;
+      if kind = Memory.Nvm then
+        Memory.clwb ~site:Persist.Test m (Memory.addr_of ~aid ~offset:8))
+    aids
+
+let test_reset_equals_fresh () =
+  in_sim (fun () ->
+      let fresh_mem () = Memory.make ~seed:7L ~bg_period:5 () in
+      let used = fresh_mem () in
+      (* dirty [used] everywhere [reset] has to undo: far-reaching writes in
+         DRAM and NVM arenas, persisted and pending lines, FliT mode, a
+         policy, a crash hook and an access hook *)
+      List.iter
+        (fun kind ->
+          let aid = Memory.new_arena used ~kind ~home:1 in
+          write_words used aid ~from:3 ~n:400 ~stride:151;
+          if kind = Memory.Nvm then
+            Memory.clwb ~site:Persist.Test used (Memory.addr_of ~aid ~offset:8))
+        [ Memory.Nvm; Memory.Dram; Memory.Nvm; Memory.Dram ];
+      Memory.sfence ~site:Persist.Test used;
+      write_words used 0 ~from:7 ~n:50 ~stride:211;
+      Memory.set_flit used true;
+      let p = Persist.default () in
+      Persist.set p Persist.Test Persist.Elide;
+      Memory.set_policy used p;
+      Memory.set_crash_hook used (fun _ -> failwith "crash hook survived reset");
+      Memory.set_access_hook used (fun _ _ _ _ -> failwith "access hook survived reset");
+      Memory.reset used;
+      let a = fresh_mem () in
+      check_same_memory "just reset" a used;
+      (* slot 0 reuses an NVM spare as DRAM, slot 1 a DRAM spare as NVM,
+         slot 4 is new *)
+      let kinds = [ Memory.Dram; Memory.Nvm; Memory.Nvm; Memory.Dram; Memory.Nvm ] in
+      drive a kinds;
+      drive used kinds;
+      check_same_memory "after the same ops" a used)
+
+let test_restore_equals_uninterrupted () =
+  in_sim (fun () ->
+      let mem () = Memory.make ~seed:9L ~bg_period:5 () in
+      let a = mem () and b = mem () in
+      drive a [ Memory.Nvm; Memory.Dram ];
+      drive a [ Memory.Nvm ];
+      drive b [ Memory.Nvm; Memory.Dram ];
+      let older = Memory.snapshot b in
+      drive b [ Memory.Nvm ];
+      let s = Memory.snapshot b in
+      (* the interlude writes past the snapshot's touched prefix of the
+         live arenas, allocates (and dirties) arenas beyond them, crashes,
+         and rewinds to an older snapshot whose arena count leaves slot 2
+         to be reallocated as DRAM before [s] is restored *)
+      write_words b 0 ~from:20_000 ~n:300 ~stride:97;
+      write_words b 1 ~from:30_000 ~n:300 ~stride:89;
+      drive b [ Memory.Dram; Memory.Nvm; Memory.Nvm ];
+      Memory.crash b;
+      Memory.restore b older;
+      drive b [ Memory.Dram; Memory.Dram ];
+      Memory.restore b s;
+      check_same_memory "just restored" a b;
+      (* the spares left by the interlude are reused with other kinds *)
+      drive a [ Memory.Nvm; Memory.Dram; Memory.Dram ];
+      drive b [ Memory.Nvm; Memory.Dram; Memory.Dram ];
+      check_same_memory "after the same ops" a b)
+
 (* ---- property tests ---- *)
 
 let prop_flushed_equals_peek =
@@ -557,6 +708,14 @@ let () =
             test_flit_clflush_elided_when_persisted;
           Alcotest.test_case "no stale write-back after clflush" `Quick
             test_flit_no_stale_writeback_regression;
+        ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "restore rewinds background-flush stream" `Quick
+            test_restore_rewinds_background_flush_stream;
+          Alcotest.test_case "reset equals fresh" `Quick test_reset_equals_fresh;
+          Alcotest.test_case "restore equals uninterrupted" `Quick
+            test_restore_equals_uninterrupted;
         ] );
       ( "properties",
         [
