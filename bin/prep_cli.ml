@@ -544,7 +544,7 @@ let crash mode epsilon threads crash_at seed =
     let topology = Sim.Topology.default in
     let beta = topology.Sim.Topology.cores_per_socket in
     let sim = Sim.create ~seed:(Int64.of_int seed) topology in
-    let mem = Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 () in
+    let mem = Nvm.Memory.make ~bg_period:5000 () in
     let uc_ref = ref None in
     ignore
       (Sim.spawn sim ~socket:0 (fun () ->
@@ -1737,7 +1737,7 @@ let ckpt_episode ~lsm ~lsm_fanout ~n ~dirty_pct ~epsilon ~threads
   let topology = Sim.Topology.default in
   let sim = Sim.create ~seed:(Int64.of_int seed) topology in
   let mem =
-    Nvm.Memory.make ~sockets:topology.Sim.Topology.sockets ~bg_period:5000 ()
+    Nvm.Memory.make ~bg_period:5000 ()
   in
   let uc_ref = ref None in
   let work_ns = ref 0 in

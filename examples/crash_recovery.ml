@@ -20,7 +20,7 @@ let crashes = 3
 let run_mode mode =
   Printf.printf "\n%s (epsilon = %d, beta = %d):\n"
     (Prep.Config.mode_name mode) epsilon beta;
-  let mem = Memory.make ~sockets:2 ~bg_period:5000 () in
+  let mem = Memory.make ~bg_period:5000 () in
   let seed = ref 100L in
   let next_seed () =
     seed := Int64.add !seed 1L;

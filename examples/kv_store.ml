@@ -21,7 +21,7 @@ type ack = { key : int; value : int; deleted : bool }
 let () =
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed:7L topology in
-  let mem = Memory.make ~sockets:2 ~bg_period:5000 () in
+  let mem = Memory.make ~bg_period:5000 () in
   let uc_ref = ref None in
   (* acknowledged writes, recorded on the OCaml side as the "client" *)
   let acked : (int, ack) Hashtbl.t = Hashtbl.create 1024 in

@@ -11,7 +11,7 @@ let () =
   (* A simulated 2-socket machine and its memory (DRAM + NVM). *)
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed:2024L topology in
-  let mem = Memory.make ~sockets:2 () in
+  let mem = Memory.make () in
   let uc_ref = ref None in
 
   ignore

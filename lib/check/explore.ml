@@ -7,8 +7,10 @@
     signature [Sut.S], so the single construction and the sharded 2PC
     router are explored by the same engine:
 
-    - [Sim] runs in controlled-scheduler mode: every fiber-facing memory
-      operation is a scheduling choice point, and the explorer drives a
+    - [Sim] runs in controlled-scheduler mode: once the root fiber has
+      built the construction and spawned the workers (a prefix the sim
+      runs straight through), every fiber-facing memory operation is a
+      scheduling choice point, and the explorer drives a
       depth-first search over the choice tree, re-executing the workload
       from scratch on a reset memory along each schedule (stateless
       search; [Memory.reset] keeps the arenas, so a schedule costs what it
@@ -325,6 +327,26 @@ let recover_in topo f =
   | `Done -> ()
   | `Cut _ -> failwith "Explore: recovery did not finish"
 
+(* Per-fiber integers indexed by fid: [get] reads [default] past the end
+   and [set] grows the array, so no fiber count is needed up front. *)
+module Per_fiber = struct
+  type t = { mutable a : int array; default : int }
+
+  let create default = { a = Array.make 8 default; default }
+  let get t fid = if fid < Array.length t.a then t.a.(fid) else t.default
+
+  let set t fid v =
+    if fid >= Array.length t.a then begin
+      let b = Array.make (max (2 * Array.length t.a) (fid + 1)) t.default in
+      Array.blit t.a 0 b 0 (Array.length t.a);
+      t.a <- b
+    end;
+    t.a.(fid) <- v
+end
+
+(* [parked] value of a fiber that is not parked *)
+let not_parked = min_int
+
 module Make (S : Sut.S) = struct
   open Nvm
 
@@ -334,10 +356,9 @@ module Make (S : Sut.S) = struct
     sim : Sim.t;
     mem : Memory.t;
     mutable uc : S.t option;
-    mutable runtime : bool;  (** every worker fiber has been spawned *)
     mutable done_count : int;
-    parked : (int, int) Hashtbl.t;
-    iter_start : (int, int) Hashtbl.t;
+    parked : Per_fiber.t;  (** the write version it parked at, if parked *)
+    iter_start : Per_fiber.t;  (** version at its wait iteration's start *)
     mutable write_version : int;
     mutable last_ghost : int;
   }
@@ -345,17 +366,18 @@ module Make (S : Sut.S) = struct
   let new_memory ~scope =
     Memory.make
       ~seed:(Int64.of_int (scope.seed + 7919))
-      ~sockets:scope.sockets ~bg_period:0 ()
+      ~bg_period:0 ()
 
   let new_run topo mem =
+    let sim = Sim.create topo in
+    Sim.set_controlled sim;
     {
-      sim = Sim.create topo;
+      sim;
       mem;
       uc = None;
-      runtime = false;
       done_count = 0;
-      parked = Hashtbl.create 16;
-      iter_start = Hashtbl.create 16;
+      parked = Per_fiber.create not_parked;
+      iter_start = Per_fiber.create (-1);
       write_version = 0;
       last_ghost = 0;
     }
@@ -385,13 +407,12 @@ module Make (S : Sut.S) = struct
      conservative direction. *)
   let install_parking r =
     Sim.set_spin_hook r.sim (fun fid ->
-        Hashtbl.replace r.parked fid
-          (Option.value ~default:(-1) (Hashtbl.find_opt r.iter_start fid)))
+        Per_fiber.set r.parked fid (Per_fiber.get r.iter_start fid))
 
   let unpark r fid =
-    if Hashtbl.mem r.parked fid then begin
-      Hashtbl.replace r.iter_start fid r.write_version;
-      Hashtbl.remove r.parked fid
+    if Per_fiber.get r.parked fid <> not_parked then begin
+      Per_fiber.set r.iter_start fid r.write_version;
+      Per_fiber.set r.parked fid not_parked
     end
 
   (* ghost progress (done/stop flags, trace growth) also wakes parked
@@ -402,15 +423,16 @@ module Make (S : Sut.S) = struct
       r.last_ghost <- gh;
       r.write_version <- r.write_version + 1
     end;
-    Array.to_list enabled
-    |> List.filter (fun fid ->
-           match Hashtbl.find_opt r.parked fid with
-           | Some v when v = r.write_version -> false
-           | _ -> true)
+    let awake fid = Per_fiber.get r.parked fid <> r.write_version in
+    if Array.for_all awake enabled then enabled
+    else Array.of_list (List.filter awake (Array.to_list enabled))
 
-  (* The root fiber builds the construction, spawns one fiber per worker
-     running its op list, waits for them, then stops and syncs. *)
-  let spawn_workload r ~cfg ~scope ~topo ~workload =
+  (* The root fiber (fid 0) builds the construction and spawns one fiber
+     per worker running its op list — the construction prefix, which the
+     controlled sim runs straight through (lowest fid first, no choice
+     points) — then installs [chooser], waits for the workers, stops and
+     syncs. Every step from the chooser's installation on is explored. *)
+  let spawn_workload r ~cfg ~scope ~topo ~workload ~chooser =
     ignore
       (Sim.spawn r.sim ~socket:0 (fun () ->
            let uc = S.create r.mem (Roots.make r.mem) cfg in
@@ -424,7 +446,7 @@ module Make (S : Sut.S) = struct
                  List.iter (fun (op, args) -> S.execute uc ~op ~args) ops;
                  r.done_count <- r.done_count + 1)
            done;
-           r.runtime <- true;
+           Sim.set_chooser r.sim chooser;
            while r.done_count < scope.threads do
              Sim.spin ()
            done;
@@ -495,20 +517,20 @@ module Make (S : Sut.S) = struct
          deterministic code whose only inputs are these observations (plus
          the ghost state hashed separately), so equal chains imply equal
          continuations, which is what makes state-hash dedup sound. *)
-      let chains : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let chains = Per_fiber.create 0 in
       (* a freshly spawned fiber parks at its first op_point having touched
          nothing: without this bit its start-step would hash like a no-op
          and be dedup-pruned, losing every schedule where its first access
-         happens early *)
-      let started : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+         happens early. The root fiber has run the whole construction
+         prefix by the time the chooser is installed. *)
+      let started = Per_fiber.create 0 in
+      Per_fiber.set started 0 1;
       let cur_fp : fp ref = ref [] in
-      let hook key addr write value =
-        let fid = (Sim.self ()).Sim.fid in
+      let hook fid key addr write value =
         cur_fp := (key, write) :: !cur_fp;
         if write then r.write_version <- r.write_version + 1;
         let av = h2 addr (h2 key (h2 (if write then 1 else 0) value)) in
-        Hashtbl.replace chains fid
-          (h2 (Option.value ~default:0 (Hashtbl.find_opt chains fid)) av)
+        Per_fiber.set chains fid (h2 (Per_fiber.get chains fid) av)
       in
       Memory.set_access_hook mem hook;
       install_parking r;
@@ -528,17 +550,13 @@ module Make (S : Sut.S) = struct
         h := h2 !h (ghost_hash r);
         Array.iter
           (fun fid ->
-            let chain = Option.value ~default:0 (Hashtbl.find_opt chains fid) in
+            let f = Sim.fiber r.sim fid in
             let fextra =
-              match Sim.find_fiber r.sim fid with
-              | Some f ->
-                h2
-                  ((if f.Sim.palloc then 2 else 0)
-                  + (if Hashtbl.mem started fid then 1 else 0))
-                  (Int64.to_int f.Sim.frng.Sim.Rng.state)
-              | None -> 0
+              h2
+                ((if f.Sim.palloc then 2 else 0) + Per_fiber.get started fid)
+                (Int64.to_int (Sim.Rng.state f.Sim.frng))
             in
-            h := h2 !h (h2 fid (h2 chain fextra)))
+            h := h2 !h (h2 fid (h2 (Per_fiber.get chains fid) fextra)))
           enabled;
         !h
       in
@@ -627,127 +645,122 @@ module Make (S : Sut.S) = struct
       let chooser (enabled : int array) : int =
         let pick fid =
           unpark r fid;
-          Hashtbl.replace started fid ();
+          Per_fiber.set started fid 1;
           fid
         in
-        if not r.runtime then pick enabled.(0)
-        else begin
-          (* a step just finished: attribute and consume its footprint *)
-          let fp = !cur_fp in
-          cur_fp := [];
-          (match !attr_node with
-           | Some n ->
-             n.nd_fp <- fp;
-             attr_node := None
-           | None -> ());
-          if fp <> [] && !pending_sleep <> [] then
-            pending_sleep :=
-              List.filter (fun (_, f) -> not (fp_conflict f fp)) !pending_sleep;
-          let this_step = !step_idx in
-          incr step_idx;
-          stats.steps <- stats.steps + 1;
-          if !step_idx > budget.max_steps then begin
-            depth_cut := true;
-            stats.depth_cutoffs <- stats.depth_cutoffs + 1;
-            raise Pruned
-          end;
-          let processing = !decision_idx > process_from in
-          let eligible = eligible r enabled in
-          (* Every runnable fiber is parked at the current version: no
-             fiber's wait condition can ever change again along this
-             schedule (the re-checks are memoryless), so its only
-             continuations are unfair infinite stutters. Cut it. *)
-          if eligible = [] then begin
-            stats.stutter_cuts <- stats.stutter_cuts + 1;
-            raise Pruned
-          end;
-          let eligible = Array.of_list eligible in
-          if processing then begin
-            (match r.uc with
-             | Some uc when cfg.Prep.Config.mode <> Prep.Config.Volatile ->
-               enumerate_crash_frontiers uc this_step
-             | _ -> ());
-            if Array.length eligible > 1 then begin
-              let fresh_state = ref true in
-              if scope.prune then begin
-                let key = state_key enabled in
-                let sig_of_sleep sl =
-                  List.map
-                    (fun (fid, f) ->
-                      ( fid,
-                        List.fold_left
-                          (fun acc (k, w) -> acc lxor h2 k (if w then 1 else 0))
-                          0 f ))
-                    sl
-                  |> List.sort_uniq compare
-                in
-                let s = sig_of_sleep !pending_sleep in
-                let subset c = List.for_all (fun x -> List.mem x s) c in
-                (match Hashtbl.find_opt seen_states key with
-                 | Some cached when List.exists subset cached ->
-                   stats.dedup_hits <- stats.dedup_hits + 1;
-                   raise Pruned
-                 | Some cached ->
-                   fresh_state := false;
-                   (* drop cached supersets of [s]: [s] subsumes them *)
-                   let cached =
-                     List.filter
-                       (fun c -> not (List.for_all (fun x -> List.mem x c) s))
-                       cached
-                   in
-                   Hashtbl.replace seen_states key (s :: cached)
-                 | None -> Hashtbl.add seen_states key [ s ])
-              end;
-              if !fresh_state then stats.states <- stats.states + 1;
-              if stats.states >= budget.max_states then begin
-                budget_hit := true;
-                raise Budget_exhausted
-              end
-            end
-          end;
-          if Array.length eligible = 1 then pick eligible.(0)
-          else if not processing then begin
-            (* replay the DFS prefix *)
-            let n = prefix_nodes.(!decision_idx) in
-            if n.nd_enabled <> eligible then
-              failwith "Explore: replay divergence (internal invariant)";
-            incr decision_idx;
-            decisions_rev := n.nd_choice :: !decisions_rev;
-            pending_sleep := n.nd_sleep;
-            attr_node := Some n;
-            pick n.nd_choice
-          end
-          else begin
-            (* extend: open a new branching point *)
-            let sleep = !pending_sleep in
-            let asleep fid = List.exists (fun (q, _) -> q = fid) sleep in
-            match
-              Array.to_list eligible |> List.filter (fun f -> not (asleep f))
-            with
-            | [] ->
-              (* every eligible move sleeps: all successors covered elsewhere *)
-              stats.sleep_skips <- stats.sleep_skips + Array.length eligible;
-              raise Pruned
-            | c :: _ ->
-              let n =
-                {
-                  nd_enabled = eligible;
-                  nd_sleep = sleep;
-                  nd_tried = [];
-                  nd_choice = c;
-                  nd_fp = [];
-                }
+        (* a step just finished: attribute and consume its footprint *)
+        let fp = !cur_fp in
+        cur_fp := [];
+        (match !attr_node with
+         | Some n ->
+           n.nd_fp <- fp;
+           attr_node := None
+         | None -> ());
+        if fp <> [] && !pending_sleep <> [] then
+          pending_sleep :=
+            List.filter (fun (_, f) -> not (fp_conflict f fp)) !pending_sleep;
+        let this_step = !step_idx in
+        incr step_idx;
+        stats.steps <- stats.steps + 1;
+        if !step_idx > budget.max_steps then begin
+          depth_cut := true;
+          stats.depth_cutoffs <- stats.depth_cutoffs + 1;
+          raise Pruned
+        end;
+        let processing = !decision_idx > process_from in
+        let eligible = eligible r enabled in
+        (* Every runnable fiber is parked at the current version: no
+           fiber's wait condition can ever change again along this
+           schedule (the re-checks are memoryless), so its only
+           continuations are unfair infinite stutters. Cut it. *)
+        if eligible = [||] then begin
+          stats.stutter_cuts <- stats.stutter_cuts + 1;
+          raise Pruned
+        end;
+        if processing then begin
+          (match r.uc with
+           | Some uc when cfg.Prep.Config.mode <> Prep.Config.Volatile ->
+             enumerate_crash_frontiers uc this_step
+           | _ -> ());
+          if Array.length eligible > 1 then begin
+            let fresh_state = ref true in
+            if scope.prune then begin
+              let key = state_key enabled in
+              let sig_of_sleep sl =
+                List.map
+                  (fun (fid, f) ->
+                    ( fid,
+                      List.fold_left
+                        (fun acc (k, w) -> acc lxor h2 k (if w then 1 else 0))
+                        0 f ))
+                  sl
+                |> List.sort_uniq compare
               in
-              path := n :: !path;
-              incr decision_idx;
-              decisions_rev := c :: !decisions_rev;
-              attr_node := Some n;
-              pick c
+              let s = sig_of_sleep !pending_sleep in
+              let subset c = List.for_all (fun x -> List.mem x s) c in
+              (match Hashtbl.find_opt seen_states key with
+               | Some cached when List.exists subset cached ->
+                 stats.dedup_hits <- stats.dedup_hits + 1;
+                 raise Pruned
+               | Some cached ->
+                 fresh_state := false;
+                 (* drop cached supersets of [s]: [s] subsumes them *)
+                 let cached =
+                   List.filter
+                     (fun c -> not (List.for_all (fun x -> List.mem x c) s))
+                     cached
+                 in
+                 Hashtbl.replace seen_states key (s :: cached)
+               | None -> Hashtbl.add seen_states key [ s ])
+            end;
+            if !fresh_state then stats.states <- stats.states + 1;
+            if stats.states >= budget.max_states then begin
+              budget_hit := true;
+              raise Budget_exhausted
+            end
           end
+        end;
+        if Array.length eligible = 1 then pick eligible.(0)
+        else if not processing then begin
+          (* replay the DFS prefix *)
+          let n = prefix_nodes.(!decision_idx) in
+          if n.nd_enabled <> eligible then
+            failwith "Explore: replay divergence (internal invariant)";
+          incr decision_idx;
+          decisions_rev := n.nd_choice :: !decisions_rev;
+          pending_sleep := n.nd_sleep;
+          attr_node := Some n;
+          pick n.nd_choice
+        end
+        else begin
+          (* extend: open a new branching point *)
+          let sleep = !pending_sleep in
+          let asleep fid = List.exists (fun (q, _) -> q = fid) sleep in
+          match
+            Array.to_list eligible |> List.filter (fun f -> not (asleep f))
+          with
+          | [] ->
+            (* every eligible move sleeps: all successors covered elsewhere *)
+            stats.sleep_skips <- stats.sleep_skips + Array.length eligible;
+            raise Pruned
+          | c :: _ ->
+            let n =
+              {
+                nd_enabled = eligible;
+                nd_sleep = sleep;
+                nd_tried = [];
+                nd_choice = c;
+                nd_fp = [];
+              }
+            in
+            path := n :: !path;
+            incr decision_idx;
+            decisions_rev := c :: !decisions_rev;
+            attr_node := Some n;
+            pick c
         end
       in
-      Sim.set_chooser r.sim chooser;
-      spawn_workload r ~cfg ~scope ~topo ~workload;
+      spawn_workload r ~cfg ~scope ~topo ~workload ~chooser;
       (match Sim.run r.sim () with
        | `Done -> ()
        | `Cut _ -> assert false);
@@ -852,45 +865,39 @@ module Make (S : Sut.S) = struct
     (* the same await-parking as [explore]: decision traces only record
        choices at branching points, so replay must reconstruct the same
        eligible sets to consume them at the same steps *)
-    Memory.set_access_hook r.mem (fun _ _ write _ ->
+    Memory.set_access_hook r.mem (fun _ _ _ write _ ->
         if write then r.write_version <- r.write_version + 1);
     install_parking r;
     let chooser (enabled : int array) : int =
-      if not r.runtime then enabled.(0)
-      else begin
-        let this_step = !step_idx in
-        incr step_idx;
-        (match crash with
-         | Some (s, mask) when this_step = s ->
-           let lines = Array.of_list (Memory.dirty_nvm_line_keys r.mem) in
-           Array.iteri
-             (fun b key ->
-               if mask land (1 lsl b) <> 0 then Memory.commit_line r.mem key)
-             lines;
-           raise Crash_now
-         | _ -> ());
-        let eligible =
-          match eligible r enabled with
-          | [] -> enabled
-          | l -> Array.of_list l
-        in
-        let pick fid =
-          unpark r fid;
-          fid
-        in
-        if Array.length eligible = 1 then pick eligible.(0)
-        else if !decision_idx < Array.length decisions then begin
-          let c = decisions.(!decision_idx) in
-          incr decision_idx;
-          if not (Array.exists (fun f -> f = c) eligible) then
-            failwith "Explore.replay: decision trace does not match execution";
-          pick c
-        end
-        else pick eligible.(0)
+      let this_step = !step_idx in
+      incr step_idx;
+      (match crash with
+       | Some (s, mask) when this_step = s ->
+         let lines = Array.of_list (Memory.dirty_nvm_line_keys r.mem) in
+         Array.iteri
+           (fun b key ->
+             if mask land (1 lsl b) <> 0 then Memory.commit_line r.mem key)
+           lines;
+         raise Crash_now
+       | _ -> ());
+      let eligible =
+        match eligible r enabled with [||] -> enabled | l -> l
+      in
+      let pick fid =
+        unpark r fid;
+        fid
+      in
+      if Array.length eligible = 1 then pick eligible.(0)
+      else if !decision_idx < Array.length decisions then begin
+        let c = decisions.(!decision_idx) in
+        incr decision_idx;
+        if not (Array.exists (fun f -> f = c) eligible) then
+          failwith "Explore.replay: decision trace does not match execution";
+        pick c
       end
+      else pick eligible.(0)
     in
-    Sim.set_chooser r.sim chooser;
-    spawn_workload r ~cfg ~scope ~topo ~workload;
+    spawn_workload r ~cfg ~scope ~topo ~workload ~chooser;
     let crashed =
       try
         (match Sim.run r.sim () with `Done -> () | `Cut _ -> assert false);

@@ -97,7 +97,7 @@ module Make (S : Sut.S) = struct
     let mem =
       Memory.make
         ~seed:(Int64.of_int (ep.workload_seed + 7919))
-        ~sockets:topology.Sim.Topology.sockets ~bg_period:ep.bg_period ()
+        ~bg_period:ep.bg_period ()
     in
     let uc_ref = ref None in
     let setup_ops = ref 0 in

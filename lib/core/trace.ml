@@ -27,28 +27,34 @@ type t = {
    index mark every unlogged slot completed. *)
 let sentinel () = { op = -1; args = [||]; tid = 0; seqno = 0; completed = false }
 
-let create () = { entries = Array.init 1024 (fun _ -> sentinel ()); len = 0 }
+(* Starts small: a construction is built per explored schedule, and a
+   large initial array would be allocated straight into the major heap. *)
+let create () = { entries = Array.init 16 (fun _ -> sentinel ()); len = 0 }
+
+(* make [idx] a valid slot, keeping every existing record *)
+let ensure t idx =
+  let cap = Array.length t.entries in
+  if idx >= cap then
+    t.entries <-
+      Array.init (max (2 * cap) (idx + 1)) (fun i ->
+          if i < cap then t.entries.(i) else sentinel ())
 
 (** Record the op logged at index [idx] (combiner side, at log-write time).
     [tid]/[seqno] carry the detectability tag when that layer is on. *)
 let logged ?(tid = 0) ?(seqno = 0) t idx ~op ~args =
-  if idx >= Array.length t.entries then begin
-    let bigger =
-      Array.init
-        (max (2 * Array.length t.entries) (idx + 1))
-        (fun _ -> sentinel ())
-    in
-    Array.blit t.entries 0 bigger 0 t.len;
-    t.entries <- bigger
-  end;
+  ensure t idx;
   t.entries.(idx) <- { op; args; tid; seqno; completed = false };
   if idx + 1 > t.len then t.len <- idx + 1
 
 (** Mark the op at log index [idx] completed (worker side, at return). *)
-let completed t idx = t.entries.(idx).completed <- true
+let completed t idx =
+  ensure t idx;
+  t.entries.(idx).completed <- true
 
 let length t = t.len
-let get t idx = t.entries.(idx)
+
+(** The record at [idx]: a fresh never-logged one past the capacity. *)
+let get t idx = if idx < Array.length t.entries then t.entries.(idx) else sentinel ()
 
 (** Indexes of completed ops. *)
 let completed_indexes t =

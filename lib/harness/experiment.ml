@@ -146,7 +146,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   let sim = Sim.create ~seed topology in
   let mem =
     Telemetry.Registry.with_current acc (fun () ->
-        Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets ())
+        Memory.make ~bg_period ())
   in
   let counts = Array.make workers 0 in
   let done_count = ref 0 in

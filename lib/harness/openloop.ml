@@ -62,7 +62,7 @@ let run ?(seed = 7L) ?(topology = Sim.Topology.default)
   let reg = Telemetry.Registry.create () in
   let sojourn = Telemetry.Registry.histogram reg "openloop.sojourn_ns" in
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets () in
+  let mem = Memory.make ~bg_period () in
   let queue : (int * int array * int) Queue.t = Queue.create () in
   (match shed with
    | Some d when d < 1 -> invalid_arg "Openloop.run: shed depth < 1"

@@ -134,7 +134,7 @@ module Make (Ds : Seqds.Ds_intf.S) = struct
     let mem =
       Memory.make
         ~seed:(Int64.of_int (cfg.seed + 7919))
-        ~sockets:topology.Sim.Topology.sockets ~bg_period:cfg.bg_period ()
+        ~bg_period:cfg.bg_period ()
     in
     let uc_cfg =
       Prep.Config.make ~mode:Prep.Config.Durable ~log_size:cfg.log_size

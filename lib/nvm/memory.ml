@@ -155,7 +155,6 @@ let touch arena line = if line >= arena.hi then arena.hi <- line + 1
 type t = {
   mutable m_arenas : arena array;
   mutable m_count : int;
-  m_dirty_by_socket : (int, unit) Hashtbl.t array;
   mutable m_pending : pending list;
   mutable m_flit : bool;
   m_pending_tbl : (int, int array) Hashtbl.t;
@@ -174,10 +173,10 @@ type t = {
   mutable m_media_hash : int;
   mutable m_dirty_hash : int;
   mutable m_wpq_hash : int;
-  mutable m_access_hook : (int -> int -> bool -> int -> unit) option;
+  mutable m_access_hook : (int -> int -> int -> bool -> int -> unit) option;
       (* called at the *effect* of every fiber-facing operation with
-         (dirty_key | -1 for whole-cache ops, word address | -1, is_write,
-         value involved); the explorer derives per-step cache-line
+         (fid, dirty_key | -1 for whole-cache ops, word address | -1,
+         is_write, value involved); the explorer derives per-step cache-line
          footprints and fine-grained state hashes from it *)
   mutable m_policy : Persist.policy;
       (* per-site persistency policy consulted by every flush/fence
@@ -187,12 +186,11 @@ type t = {
 
 let initial_countdown bg_period = if bg_period = 0 then max_int else bg_period
 
-let make ?(seed = 42L) ?(sockets = 2) ?(bg_period = 50_000) ?(flit = false) () =
+let make ?(seed = 42L) ?(bg_period = 50_000) ?(flit = false) () =
   let reg = R.current_or_new () in
   {
     m_arenas = Array.make 64 dummy_arena;
     m_count = 0;
-    m_dirty_by_socket = Array.init sockets (fun _ -> Hashtbl.create 4096);
     m_pending = [];
     m_flit = flit;
     m_pending_tbl = Hashtbl.create 256;
@@ -283,19 +281,19 @@ let set_crash_hook m hook = m.m_crash_hook <- Some hook
 
 let clear_crash_hook m = m.m_crash_hook <- None
 
-let op_point m =
+(* Every fiber-facing operation looks the running fiber [f] up once
+   ([Sim.self]) and reads its costs, socket and dispatch mode from it. *)
+let op_point m f =
   let i = m.m_op_index in
   m.m_op_index <- i + 1;
   (match m.m_crash_hook with None -> () | Some hook -> hook i);
-  (* Controlled-scheduler mode: every fiber-facing memory operation is a
-     scheduling choice point, taken *before* the operation has any effect
-     so the explorer observes a consistent between-operations state. *)
-  if Sim.controlled () then Sim.yield ()
+  Sim.choice_point f
 
 (* ---- access-footprint hook (model-checking instrumentation) ---- *)
 
 (** Install [hook], called at the effect point of every fiber-facing
-    operation with [(key, addr, is_write, value)]: [key] is the
+    operation with [(fid, key, addr, is_write, value)]: [fid] is the
+    executing fiber, [key] the
     [dirty_key] of the touched cache line (or [-1] for operations with a
     whole-cache footprint: SFENCE, WBINVD, arena flushes), [addr] the
     word address involved ([-1] when the operation touches a whole line
@@ -308,8 +306,8 @@ let set_access_hook m hook = m.m_access_hook <- Some hook
 
 let clear_access_hook m = m.m_access_hook <- None
 
-let access_point m key ~addr ~write v =
-  match m.m_access_hook with None -> () | Some hook -> hook key addr write v
+let access_point m f key ~addr ~write v =
+  match m.m_access_hook with None -> () | Some hook -> hook f.Sim.fid key addr write v
 
 (* ---- state fingerprints (explorer) ---- *)
 
@@ -405,8 +403,8 @@ let set_media_word m arena off v =
 
 (* ---- cost accounting ---- *)
 
-let access_cost m arena ~line_dirty =
-  let c = Sim.costs () in
+let access_cost f arena ~line_dirty =
+  let c = f.Sim.sim.Sim.costs in
   let base =
     if line_dirty then c.Sim.Costs.cache_access
     else
@@ -415,9 +413,8 @@ let access_cost m arena ~line_dirty =
       | Nvm -> c.Sim.Costs.nvm_read
   in
   let remote =
-    if arena.home <> Sim.socket () then c.Sim.Costs.remote_penalty else 0
+    if arena.home <> f.Sim.socket then c.Sim.Costs.remote_penalty else 0
   in
-  ignore m;
   base + remote
 
 (* ---- line persistence ---- *)
@@ -435,22 +432,17 @@ let clear_dirty m arena line =
   if d <> 0 then begin
     let key = dirty_key arena.aid line in
     m.m_dirty_hash <- m.m_dirty_hash lxor h2 key d;
-    Bytes.set_uint8 arena.dirty line 0;
-    Hashtbl.remove m.m_dirty_by_socket.(d - 1) key
+    Bytes.set_uint8 arena.dirty line 0
   end
 
 let mark_dirty m arena line socket =
   let d = Bytes.get_uint8 arena.dirty line in
   if d <> socket + 1 then begin
     let key = dirty_key arena.aid line in
-    if d <> 0 then begin
-      m.m_dirty_hash <- m.m_dirty_hash lxor h2 key d;
-      Hashtbl.remove m.m_dirty_by_socket.(d - 1) key
-    end;
+    if d <> 0 then m.m_dirty_hash <- m.m_dirty_hash lxor h2 key d;
     m.m_dirty_hash <- m.m_dirty_hash lxor h2 key (socket + 1);
     touch arena line;
-    Bytes.set_uint8 arena.dirty line (socket + 1);
-    Hashtbl.replace m.m_dirty_by_socket.(socket) key ()
+    Bytes.set_uint8 arena.dirty line (socket + 1)
   end
 
 (* In flit mode a committed line's WPQ entry is dropped: its capture is now
@@ -484,29 +476,31 @@ let maybe_background_flush m arena line =
 (* ---- fiber-facing operations (charge simulated time) ---- *)
 
 let read m addr =
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = arena_of_addr m addr in
   let off = offset_of_addr addr in
   let line = line_of_offset off in
   let line_dirty = Bytes.get_uint8 arena.dirty line <> 0 in
-  let cost = access_cost m arena ~line_dirty in
-  Sim.tick cost;
+  let cost = access_cost f arena ~line_dirty in
+  Sim.charge f cost;
   count m.m_c.read cost;
   let v = arena.values.(off) in
-  access_point m (dirty_key arena.aid line) ~addr ~write:false v;
+  access_point m f (dirty_key arena.aid line) ~addr ~write:false v;
   v
 
 let write m addr v =
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = arena_of_addr m addr in
   let off = offset_of_addr addr in
   let line = line_of_offset off in
-  let cost = access_cost m arena ~line_dirty:true in
-  Sim.tick cost;
+  let cost = access_cost f arena ~line_dirty:true in
+  Sim.charge f cost;
   count m.m_c.write cost;
   set_value m arena off v;
-  mark_dirty m arena line (Sim.socket ());
-  access_point m (dirty_key arena.aid line) ~addr ~write:true v;
+  mark_dirty m arena line f.Sim.socket;
+  access_point m f (dirty_key arena.aid line) ~addr ~write:true v;
   maybe_background_flush m arena line
 
 (** Store that duplicates a just-issued write into a DRAM shadow (the log
@@ -515,16 +509,17 @@ let write m addr v =
     (in particular, no remote penalty — the mirror line rides along in the
     writer's store buffer). Semantically identical to [write]. *)
 let mirror_write m addr v =
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = arena_of_addr m addr in
   let off = offset_of_addr addr in
   let line = line_of_offset off in
-  let cost = (Sim.costs ()).Sim.Costs.mirror_write in
-  Sim.tick cost;
+  let cost = f.Sim.sim.Sim.costs.Sim.Costs.mirror_write in
+  Sim.charge f cost;
   count m.m_c.mirror_write cost;
   set_value m arena off v;
-  mark_dirty m arena line (Sim.socket ());
-  access_point m (dirty_key arena.aid line) ~addr ~write:true v;
+  mark_dirty m arena line f.Sim.socket;
+  access_point m f (dirty_key arena.aid line) ~addr ~write:true v;
   maybe_background_flush m arena line
 
 (** Zero [size] words starting at [addr], as a memset would: the stores
@@ -532,33 +527,38 @@ let mirror_write m addr v =
     cost is charged per line rather than per word. Used by the allocator
     when recycling blocks. *)
 let scrub m addr size =
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = arena_of_addr m addr in
   let off = offset_of_addr addr in
   let first_line = line_of_offset off in
   let last_line = line_of_offset (off + size - 1) in
-  let cost = (last_line - first_line + 1) * (Sim.costs ()).Sim.Costs.cache_access in
-  Sim.tick cost;
+  let cost =
+    (last_line - first_line + 1) * f.Sim.sim.Sim.costs.Sim.Costs.cache_access
+  in
+  Sim.charge f cost;
   count m.m_c.scrub cost;
-  let socket = Sim.socket () in
   for i = off to off + size - 1 do
     set_value m arena i 0
   done;
   for line = first_line to last_line do
-    mark_dirty m arena line socket;
-    access_point m (dirty_key arena.aid line) ~addr:(addr - off + (line * line_words)) ~write:true 0
+    mark_dirty m arena line f.Sim.socket;
+    access_point m f (dirty_key arena.aid line)
+      ~addr:(addr - off + (line * line_words)) ~write:true 0
   done
 
 (** Atomic compare-and-swap. The cost is charged (and a scheduling point
     taken) *before* the read-modify-write, which is then indivisible. *)
 let cas m addr ~expected ~desired =
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = arena_of_addr m addr in
   let off = offset_of_addr addr in
   let line = line_of_offset off in
-  let c = Sim.costs () in
-  let cost = c.Sim.Costs.cas + access_cost m arena ~line_dirty:true in
-  Sim.tick cost;
+  let cost =
+    f.Sim.sim.Sim.costs.Sim.Costs.cas + access_cost f arena ~line_dirty:true
+  in
+  Sim.charge f cost;
   count m.m_c.cas cost;
   (* the hook fires after the compare so a failed CAS registers as a plain
      read: it changes nothing, so treating it as a write would spuriously
@@ -566,32 +566,34 @@ let cas m addr ~expected ~desired =
      spinners would then wake each other forever). Read-vs-write conflicts
      still give the sleep sets the dependency they need. *)
   if arena.values.(off) = expected then begin
-    access_point m (dirty_key arena.aid line) ~addr ~write:true expected;
+    access_point m f (dirty_key arena.aid line) ~addr ~write:true expected;
     set_value m arena off desired;
-    mark_dirty m arena line (Sim.socket ());
+    mark_dirty m arena line f.Sim.socket;
     maybe_background_flush m arena line;
     true
   end
   else begin
-    access_point m (dirty_key arena.aid line) ~addr ~write:false
+    access_point m f (dirty_key arena.aid line) ~addr ~write:false
       arena.values.(off);
     false
   end
 
 (** Atomic fetch-and-add, used by reader counts in the reader-writer lock. *)
 let faa m addr delta =
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = arena_of_addr m addr in
   let off = offset_of_addr addr in
   let line = line_of_offset off in
-  let c = Sim.costs () in
-  let cost = c.Sim.Costs.cas + access_cost m arena ~line_dirty:true in
-  Sim.tick cost;
+  let cost =
+    f.Sim.sim.Sim.costs.Sim.Costs.cas + access_cost f arena ~line_dirty:true
+  in
+  Sim.charge f cost;
   count m.m_c.faa cost;
   let old = arena.values.(off) in
   set_value m arena off (old + delta);
-  mark_dirty m arena line (Sim.socket ());
-  access_point m (dirty_key arena.aid line) ~addr ~write:true old;
+  mark_dirty m arena line f.Sim.socket;
+  access_point m f (dirty_key arena.aid line) ~addr ~write:true old;
   old
 
 (** Asynchronous write-back of the line containing [addr]. The captured
@@ -604,39 +606,40 @@ let clwb ~site m addr =
   match policy_action m site with
   | Persist.Elide -> at m.m_c.clwb.pol_at site
   | Persist.Emit | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
+  let c = f.Sim.sim.Sim.costs in
   let arena = arena_of_addr m addr in
   if arena.kind <> Nvm then invalid_arg "Memory.clwb: not an NVM address";
   let line = line_of_offset (offset_of_addr addr) in
   let base = line * line_words in
   let key = dirty_key arena.aid line in
   if not m.m_flit then begin
-    Sim.tick (Sim.costs ()).Sim.Costs.clwb_line;
-    emit m.m_c.clwb site (Sim.costs ()).Sim.Costs.clwb_line;
+    Sim.charge f c.Sim.Costs.clwb_line;
+    emit m.m_c.clwb site c.Sim.Costs.clwb_line;
     let words = Array.sub arena.values base line_words in
     m.m_pending <- { p_arena = arena.aid; p_line = line; p_words = words } :: m.m_pending;
     m.m_wpq_hash <- h2 (pending_entry_h key words) m.m_wpq_hash;
     clear_dirty m arena line;
-    access_point m key ~addr:(-1) ~write:true 0
+    access_point m f key ~addr:(-1) ~write:true 0
   end
   else begin
-    let c = Sim.costs () in
     if Bytes.get_uint8 arena.dirty line = 0 then begin
       (* clean line: media or the WPQ already holds the current contents —
          the flush tag says there is nothing to write back *)
-      Sim.tick c.Sim.Costs.flush_tag_check;
+      Sim.charge f c.Sim.Costs.flush_tag_check;
       flit_elided m.m_c.clwb site c.Sim.Costs.flush_tag_check;
-      access_point m key ~addr:(-1) ~write:false 0
+      access_point m f key ~addr:(-1) ~write:false 0
     end
     else begin
       if Hashtbl.mem m.m_pending_tbl key then begin
         (* same line already queued: update the WPQ entry in place *)
-        Sim.tick c.Sim.Costs.clwb_merge;
+        Sim.charge f c.Sim.Costs.clwb_merge;
         count m.m_c.clwb_coalesced c.Sim.Costs.clwb_merge;
         emitted_at m.m_c.clwb site c.Sim.Costs.clwb_merge
       end
       else begin
-        Sim.tick c.Sim.Costs.clwb_line;
+        Sim.charge f c.Sim.Costs.clwb_line;
         emit m.m_c.clwb site c.Sim.Costs.clwb_line
       end;
       (* capture after the tick (a yield point): a concurrent fence may have
@@ -650,7 +653,7 @@ let clwb ~site m addr =
       Hashtbl.replace m.m_pending_tbl key words;
       m.m_wpq_hash <- m.m_wpq_hash lxor pending_entry_h key words;
       clear_dirty m arena line;
-      access_point m key ~addr:(-1) ~write:true 0
+      access_point m f key ~addr:(-1) ~write:true 0
     end
   end
 
@@ -668,26 +671,29 @@ let clflush ~site m addr =
     at m.m_c.clflush_downgraded_at site;
     clwb ~site m addr
   | Persist.Emit ->
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
+  let c = f.Sim.sim.Sim.costs in
   let arena = arena_of_addr m addr in
   if arena.kind <> Nvm then invalid_arg "Memory.clflush: not an NVM address";
   let line = line_of_offset (offset_of_addr addr) in
+  let key = dirty_key arena.aid line in
   if m.m_flit
      && Bytes.get_uint8 arena.dirty line = 0
-     && not (Hashtbl.mem m.m_pending_tbl (dirty_key arena.aid line))
+     && not (Hashtbl.mem m.m_pending_tbl key)
   then begin
     (* clean and nothing queued: media already holds the line *)
-    Sim.tick (Sim.costs ()).Sim.Costs.flush_tag_check;
-    flit_elided m.m_c.clflush site (Sim.costs ()).Sim.Costs.flush_tag_check;
-    access_point m (dirty_key arena.aid line) ~addr:(-1) ~write:false 0
+    Sim.charge f c.Sim.Costs.flush_tag_check;
+    flit_elided m.m_c.clflush site c.Sim.Costs.flush_tag_check;
+    access_point m f key ~addr:(-1) ~write:false 0
   end
   else begin
-    Sim.tick (Sim.costs ()).Sim.Costs.clflush_line;
-    emit m.m_c.clflush site (Sim.costs ()).Sim.Costs.clflush_line;
+    Sim.charge f c.Sim.Costs.clflush_line;
+    emit m.m_c.clflush site c.Sim.Costs.clflush_line;
     commit_line_to_media m arena line;
     flit_prune m arena line;
     clear_dirty m arena line;
-    access_point m (dirty_key arena.aid line) ~addr:(-1) ~write:true 0
+    access_point m f key ~addr:(-1) ~write:true 0
   end
 
 (** Persistent fence: drains every pending [clwb]. *)
@@ -709,16 +715,18 @@ let sfence ~site m =
     at m.m_c.sfence.pol_at site
   | Persist.Defer_to_next_fence -> at m.m_c.sfence_deferred_at site
   | Persist.Emit | Persist.Downgrade_to_clwb ->
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
+  let cost = f.Sim.sim.Sim.costs.Sim.Costs.sfence in
   if m.m_flit then begin
     if Hashtbl.length m.m_pending_tbl = 0 then begin
       (* empty WPQ: the fence retires immediately, no drain cost *)
       flit_elided m.m_c.sfence site 0;
-      access_point m (-1) ~addr:(-1) ~write:false 0
+      access_point m f (-1) ~addr:(-1) ~write:false 0
     end
     else begin
-      Sim.tick (Sim.costs ()).Sim.Costs.sfence;
-      emit m.m_c.sfence site (Sim.costs ()).Sim.Costs.sfence;
+      Sim.charge f cost;
+      emit m.m_c.sfence site cost;
       R.instant m.m_reg "sfence";
       Hashtbl.iter
         (fun key words ->
@@ -727,20 +735,34 @@ let sfence ~site m =
         m.m_pending_tbl;
       Hashtbl.reset m.m_pending_tbl;
       m.m_wpq_hash <- 0;
-      access_point m (-1) ~addr:(-1) ~write:true 0
+      access_point m f (-1) ~addr:(-1) ~write:true 0
     end
   end
   else begin
-    Sim.tick (Sim.costs ()).Sim.Costs.sfence;
-    emit m.m_c.sfence site (Sim.costs ()).Sim.Costs.sfence;
+    Sim.charge f cost;
+    emit m.m_c.sfence site cost;
     R.instant m.m_reg "sfence";
     List.iter
       (fun p -> drain_pending_words m p.p_arena p.p_line p.p_words)
       (List.rev m.m_pending);
     m.m_pending <- [];
     m.m_wpq_hash <- 0;
-    access_point m (-1) ~addr:(-1) ~write:true 0
+    access_point m f (-1) ~addr:(-1) ~write:true 0
   end
+
+(* [dirty_key]s of the dirty lines of the live arenas for which
+   [keep arena dirty_byte] holds, in increasing key order: a scan of each
+   arena's touched prefix. *)
+let dirty_keys m keep =
+  let acc = ref [] in
+  for aid = m.m_count - 1 downto 0 do
+    let arena = m.m_arenas.(aid) in
+    for line = arena.hi - 1 downto 0 do
+      let d = Bytes.get_uint8 arena.dirty line in
+      if d <> 0 && keep arena d then acc := dirty_key aid line :: !acc
+    done
+  done;
+  !acc
 
 (** Write back and invalidate the executing socket's entire cache: every
     line dirtied by this socket is persisted (NVM) or merely cleaned
@@ -750,14 +772,14 @@ let wbinvd ~site m =
   match policy_action m site with
   | Persist.Elide -> at m.m_c.wbinvd.pol_at site
   | Persist.Emit | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
-  op_point m;
-  let socket = Sim.socket () in
-  let table = m.m_dirty_by_socket.(socket) in
-  let keys = Hashtbl.fold (fun k () acc -> k :: acc) table [] in
+  let f = Sim.self () in
+  op_point m f;
+  let mine = f.Sim.socket + 1 in
+  let keys = dirty_keys m (fun _ d -> d = mine) in
   let flushed = List.length keys in
-  let c = Sim.costs () in
+  let c = f.Sim.sim.Sim.costs in
   let cost = c.Sim.Costs.wbinvd_base + (flushed * c.Sim.Costs.wbinvd_per_line) in
-  Sim.tick cost;
+  Sim.charge f cost;
   emit m.m_c.wbinvd site cost;
   R.instant m.m_reg "wbinvd";
   List.iter
@@ -768,7 +790,7 @@ let wbinvd ~site m =
       flit_prune m arena line;
       clear_dirty m arena line)
     keys;
-  access_point m (-1) ~addr:(-1) ~write:true 0
+  access_point m f (-1) ~addr:(-1) ~write:true 0
 
 (** Write back every dirty line of arena [aid] to media (blocking).
     Used by CX-PUC's persist-the-whole-replica step: clean lines cost
@@ -782,15 +804,16 @@ let flush_arena ~site m aid =
   match policy_action m site with
   | Persist.Elide -> at m.m_c.flush_arena.pol_at site
   | Persist.Emit | Persist.Downgrade_to_clwb | Persist.Defer_to_next_fence ->
-  op_point m;
+  let f = Sim.self () in
+  op_point m f;
   let arena = m.m_arenas.(aid) in
   if arena.kind <> Nvm then invalid_arg "Memory.flush_arena: not an NVM arena";
-  let c = Sim.costs () in
+  let c = f.Sim.sim.Sim.costs in
   let total = ref (lines_per_arena * clean_line_flush_cost) in
-  Sim.tick (lines_per_arena * clean_line_flush_cost);
+  Sim.charge f (lines_per_arena * clean_line_flush_cost);
   for line = 0 to lines_per_arena - 1 do
     if Bytes.get_uint8 arena.dirty line <> 0 then begin
-      Sim.tick c.Sim.Costs.clwb_line;
+      Sim.charge f c.Sim.Costs.clwb_line;
       total := !total + c.Sim.Costs.clwb_line;
       R.incr m.m_c.flush_arena_lines;
       commit_line_to_media m arena line;
@@ -799,7 +822,7 @@ let flush_arena ~site m aid =
     end
   done;
   emit m.m_c.flush_arena site !total;
-  access_point m (-1) ~addr:(-1) ~write:true 0
+  access_point m f (-1) ~addr:(-1) ~write:true 0
 
 (* ---- crash and inspection (no simulated cost: harness-side) ---- *)
 
@@ -816,7 +839,6 @@ let crash m =
       Bytes.fill arena.dirty 0 arena.hi '\000'
     | Dram -> clear_from arena 0
   done;
-  Array.iter Hashtbl.reset m.m_dirty_by_socket;
   m.m_pending <- [];
   Hashtbl.reset m.m_pending_tbl;
   (* post-crash the coherent view of NVM equals media and DRAM is all
@@ -854,14 +876,7 @@ let arena_count m = m.m_count
 (** Sorted [dirty_key]s of every dirty NVM line. The order is the subset-
     mask convention shared by the explorer and its replay mode: bit [i] of
     a frontier mask refers to element [i] of this list. *)
-let dirty_nvm_line_keys m =
-  let acc = ref [] in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun key () ->
-         let aid = key / lines_per_arena in
-         if m.m_arenas.(aid).kind = Nvm then acc := key :: !acc) tbl)
-    m.m_dirty_by_socket;
-  List.sort compare !acc
+let dirty_nvm_line_keys m = dirty_keys m (fun arena _ -> arena.kind = Nvm)
 
 (** XOR delta that committing line [key]'s coherent contents to media would
     apply to [media_hash]. Lets the explorer fingerprint all 2^k subset
@@ -895,7 +910,6 @@ type snap = {
   s_values : int array array;  (* the touched prefix of each arena *)
   s_media : int array array;
   s_dirty : Bytes.t array;  (* its length is the arena's [hi] *)
-  s_dirty_tbls : (int, unit) Hashtbl.t array;
   s_pending : pending list;
   s_pending_tbl : (int, int array) Hashtbl.t;
   s_flit : bool;
@@ -923,7 +937,6 @@ let snapshot m =
       live (fun a ->
           if Array.length a.media = 0 then [||] else Array.sub a.media 0 (words a));
     s_dirty = live (fun a -> Bytes.sub a.dirty 0 a.hi);
-    s_dirty_tbls = Array.map Hashtbl.copy m.m_dirty_by_socket;
     s_pending = m.m_pending;
     s_pending_tbl = Hashtbl.copy m.m_pending_tbl;
     s_flit = m.m_flit;
@@ -933,7 +946,7 @@ let snapshot m =
     s_wpq_hash = m.m_wpq_hash;
     s_op_index = m.m_op_index;
     s_countdown = m.m_countdown;
-    s_rng = m.m_rng.Sim.Rng.state;
+    s_rng = Sim.Rng.state m.m_rng;
   }
 
 (** Restore a snapshot taken on this memory. Arenas allocated after the
@@ -959,12 +972,6 @@ let restore m s =
     Bytes.blit s.s_dirty.(aid) 0 a.dirty 0 hi;
     a.hi <- hi
   done;
-  Array.iteri
-    (fun i tbl ->
-      let dst = m.m_dirty_by_socket.(i) in
-      Hashtbl.reset dst;
-      Hashtbl.iter (fun k () -> Hashtbl.replace dst k ()) tbl)
-    s.s_dirty_tbls;
   m.m_pending <- s.s_pending;
   Hashtbl.reset m.m_pending_tbl;
   Hashtbl.iter (fun k v -> Hashtbl.replace m.m_pending_tbl k v) s.s_pending_tbl;
@@ -975,10 +982,10 @@ let restore m s =
   m.m_wpq_hash <- s.s_wpq_hash;
   m.m_op_index <- s.s_op_index;
   m.m_countdown <- s.s_countdown;
-  m.m_rng.Sim.Rng.state <- s.s_rng
+  Sim.Rng.set_state m.m_rng s.s_rng
 
 (** Return [m] to exactly the state [make] produced it in, with the same
-    seed, socket count, background-flush period and FliT flag: no live
+    seed, background-flush period and FliT flag: no live
     arenas, empty caches and write-pending queue, rewound random stream
     and operation index, no hooks, the default policy. The arenas stay
     behind as spares, so a caller that runs many short executions (the
@@ -988,11 +995,10 @@ let restore m s =
     counts). *)
 let reset m =
   m.m_count <- 0;
-  Array.iter Hashtbl.reset m.m_dirty_by_socket;
   m.m_pending <- [];
   m.m_flit <- m.m_flit_at_make;
   Hashtbl.reset m.m_pending_tbl;
-  m.m_rng.Sim.Rng.state <- m.m_seed;
+  Sim.Rng.set_state m.m_rng m.m_seed;
   m.m_countdown <- initial_countdown m.m_bg_period;
   m.m_op_index <- 0;
   m.m_crash_hook <- None;

@@ -19,42 +19,54 @@ type fiber = {
   socket : int;               (** NUMA node this fiber is pinned to *)
   core : int;                 (** core within the socket *)
   frng : Rng.t;               (** fiber-private random stream *)
+  sim : t;                    (** the simulation the fiber belongs to *)
+  current : fiber option;     (** [Some] of this very fiber, built once: the
+                                  ambient "current fiber" while it runs *)
   mutable clock : int;        (** fiber-local simulated time, ns *)
-  mutable slice : int;        (** time consumed since the last yield *)
   mutable palloc : bool;      (** allocator-swap flag (paper §5.1): when set,
                                   allocations go to the persistent allocator *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (** where the fiber resumes; stored by its [Yield] handler *)
+  mutable wake : int;         (** timed dispatch: its clock at its last yield *)
+  mutable seq : int;          (** timed dispatch: yield order, the tie-break *)
+  mutable ready : bool;       (** controlled dispatch: runnable *)
 }
 
-type entry = { time : int; seq : int; resume : unit -> unit }
+(** How [run] picks the next fiber. *)
+and dispatch =
+  | Timed  (** the earliest (wake, seq) first *)
+  | Lowest_fid
+      (** controlled, before a chooser is installed: the lowest runnable
+          fid runs, and memory operations are not scheduling points *)
+  | Chooser of (int array -> int)
+      (** controlled (model checking): fibers are not dispatched by
+          simulated time but by this callback, which is handed the sorted
+          fids of every runnable fiber and returns the one to run next.
+          Clocks still advance (costs stay meaningful) but impose no
+          ordering: the explorer drives *every* interleaving through here,
+          including ones timed dispatch would never emit. *)
 
-type t = {
+and t = {
   topology : Topology.t;
   costs : Costs.t;
   rng : Rng.t;                    (** scheduler stream (background flushes etc.) *)
   quantum : int;
   preempt_prob : float;           (** chance per [tick] of a forced, jittered
                                       preemption (schedule fuzzing) *)
-  mutable heap : entry option array;
+  mutable dispatch : dispatch;
+  mutable heap : fiber array;     (** timed ready heap, ordered by (wake, seq) *)
   mutable heap_len : int;
-  mutable seq : int;
-  mutable live : int;
+  mutable next_seq : int;
+  mutable fibers : fiber array;
+      (** every spawned fiber, indexed by fid (harness inspection, and the
+          controlled ready set: a scan in fid order yields sorted fids) *)
   mutable next_fid : int;
+  mutable n_ready : int;          (** controlled dispatch: runnable fibers *)
   mutable running : bool;
-  mutable chooser : (int array -> int) option;
-      (** controlled-scheduler mode (model checking): when set, fibers are
-          not dispatched by simulated time but by this callback, which is
-          handed the sorted fids of every runnable fiber and returns the
-          one to run next. Clocks still advance (costs stay meaningful)
-          but impose no ordering: the explorer drives *every* interleaving
-          through here, including ones timed dispatch would never emit. *)
   mutable spin_hook : (int -> unit) option;
       (** controlled mode only: called with the executing fid each time it
           enters a [spin] wait iteration, so a model checker can park the
           fiber until a write makes re-checking its condition worthwhile *)
-  runnable : (int, unit -> unit) Hashtbl.t;
-      (** controlled mode only: fid -> continuation of each runnable fiber *)
-  fibers : (int, fiber) Hashtbl.t;
-      (** registry of every spawned fiber, for harness inspection *)
   switches : Telemetry.Registry.counter;
       (** scheduler counters, resolved at [create] against the ambient
           telemetry registry (a private one when none is installed) *)
@@ -64,6 +76,21 @@ type t = {
 }
 
 type _ Effect.t += Yield : unit Effect.t
+
+(* A continuation that is never resumed: the placeholder a fiber record
+   holds for the instant between its creation and its first [Yield]. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let k : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Yield
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Yield -> Some (fun c -> k := Some c) | _ -> None);
+    };
+  Option.get !k
 
 (* The ambient simulation state is domain-local, not global: a simulation
    is single-OS-thread by construction, but *independent* simulations may
@@ -114,121 +141,106 @@ let create ?(seed = 1L) ?(costs = Costs.default) ?(quantum = 150)
     rng = Rng.create seed;
     quantum;
     preempt_prob;
-    heap = Array.make 1024 None;
+    dispatch = Timed;
+    heap = [||];
     heap_len = 0;
-    seq = 0;
-    live = 0;
+    next_seq = 0;
+    fibers = [||];
     next_fid = 0;
+    n_ready = 0;
     running = false;
-    chooser = None;
     spin_hook = None;
-    runnable = Hashtbl.create 64;
-    fibers = Hashtbl.create 64;
     switches = counter "switches";
     spins = counter "spins";
     preemptions = counter "preemptions";
     fibers_spawned = counter "fibers_spawned";
   }
 
-(** Switch the simulation into controlled-scheduler mode (see [t.chooser]).
-    Must be called before [run]. *)
-let set_chooser t f = t.chooser <- Some f
+(** Switch the simulation into controlled-scheduler mode, before any fiber
+    is spawned. Until a chooser is installed ([set_chooser]) the lowest
+    runnable fid runs and memory operations are not scheduling points: a
+    model checker lets the set-up phase run straight through this way and
+    installs its chooser where the interleavings it explores begin. *)
+let set_controlled t =
+  if t.next_fid > 0 then invalid_arg "Sim.set_controlled: fibers already spawned";
+  match t.dispatch with Timed -> t.dispatch <- Lowest_fid | Lowest_fid | Chooser _ -> ()
+
+(** Install the controlled-mode chooser (see [dispatch]): before [run] and
+    before any spawn, or at any time in a [set_controlled] simulation —
+    including from one of its own fibers, mid-run. *)
+let set_chooser t f =
+  (match t.dispatch with
+   | Timed when t.next_fid > 0 ->
+     invalid_arg "Sim.set_chooser: timed fibers already spawned"
+   | Timed | Lowest_fid | Chooser _ -> ());
+  t.dispatch <- Chooser f
 
 (** Install the controlled-mode spin notification (see [t.spin_hook]). *)
 let set_spin_hook t h = t.spin_hook <- Some h
 
-(** Whether the *current* simulation runs under a controlled scheduler.
-    False when no simulation is running (e.g. a nested recovery sim created
-    without a chooser), so instrumented code can consult it unconditionally. *)
-let controlled () =
-  match (ambient ()).amb_sim with Some s -> s.chooser <> None | None -> false
+(** The spawned fiber [fid] (harness inspection). *)
+let fiber t fid =
+  if fid < 0 || fid >= t.next_fid then invalid_arg "Sim.fiber: unknown fid";
+  t.fibers.(fid)
 
-(** Look up a spawned fiber by fid (harness inspection). *)
-let find_fiber t fid = Hashtbl.find_opt t.fibers fid
+(* ---- binary min-heap of fibers ordered by (wake, seq) ---- *)
 
-(* ---- binary min-heap ordered by (time, seq) ---- *)
+let before a b = a.wake < b.wake || (a.wake = b.wake && a.seq < b.seq)
 
-let entry_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* The sift loops take everything they use as arguments: a local
+   recursive function capturing [t] would be a closure allocated on every
+   push and pop. *)
+let rec sift_up t f i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before f t.heap.(parent) then begin
+    t.heap.(i) <- t.heap.(parent);
+    sift_up t f parent
+  end
+  else t.heap.(i) <- f
 
-let heap_push t e =
+(* Children are compared only once they are known to lie within [n]. *)
+let rec sift_down t last n i =
+  let l = (2 * i) + 1 in
+  if l >= n then t.heap.(i) <- last
+  else begin
+    let r = l + 1 in
+    let c = if r < n && before t.heap.(r) t.heap.(l) then r else l in
+    if before t.heap.(c) last then begin
+      t.heap.(i) <- t.heap.(c);
+      sift_down t last n c
+    end
+    else t.heap.(i) <- last
+  end
+
+let heap_push t f =
   if t.heap_len = Array.length t.heap then begin
-    let bigger = Array.make (2 * Array.length t.heap) None in
+    let bigger = Array.make (max 64 (2 * t.heap_len)) f in
     Array.blit t.heap 0 bigger 0 t.heap_len;
     t.heap <- bigger
   end;
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      match t.heap.(parent) with
-      | Some p when entry_lt e p ->
-        t.heap.(i) <- t.heap.(parent);
-        up parent
-      | _ -> t.heap.(i) <- Some e
-    end
-    else t.heap.(i) <- Some e
-  in
-  t.heap.(t.heap_len) <- Some e;
   t.heap_len <- t.heap_len + 1;
-  up (t.heap_len - 1)
+  sift_up t f (t.heap_len - 1)
 
+(* Remove the earliest fiber; the heap must not be empty. *)
 let heap_pop t =
-  match t.heap.(0) with
-  | None -> None
-  | Some top ->
-    t.heap_len <- t.heap_len - 1;
-    let last = t.heap.(t.heap_len) in
-    t.heap.(t.heap_len) <- None;
-    if t.heap_len > 0 then begin
-      let last = Option.get last in
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let smallest = ref i and cur = ref last in
-        (match t.heap.(l) with
-         | Some e when l < t.heap_len && entry_lt e !cur -> smallest := l; cur := e
-         | _ -> ());
-        (match t.heap.(r) with
-         | Some e when r < t.heap_len && entry_lt e !cur -> smallest := r; cur := e
-         | _ -> ());
-        if !smallest <> i then begin
-          t.heap.(i) <- t.heap.(!smallest);
-          down !smallest
-        end
-        else t.heap.(i) <- Some last
-      in
-      down 0
-    end;
-    Some top
+  let top = t.heap.(0) in
+  let n = t.heap_len - 1 in
+  t.heap_len <- n;
+  if n > 0 then sift_down t t.heap.(n) n 0;
+  top
 
-let heap_peek t = t.heap.(0)
-
-let schedule t ~fid ~time resume =
-  match t.chooser with
-  | Some _ -> Hashtbl.replace t.runnable fid resume
-  | None ->
-    heap_push t { time; seq = t.seq; resume };
-    t.seq <- t.seq + 1
+let schedule t f =
+  match t.dispatch with
+  | Timed ->
+    f.wake <- f.clock;
+    f.seq <- t.next_seq;
+    t.next_seq <- t.next_seq + 1;
+    heap_push t f
+  | Lowest_fid | Chooser _ ->
+    f.ready <- true;
+    t.n_ready <- t.n_ready + 1
 
 (* ---- fiber lifecycle ---- *)
-
-let run_under_handler t fiber f =
-  let open Effect.Deep in
-  match_with
-    (fun () -> f ())
-    ()
-    {
-      retc = (fun () -> t.live <- t.live - 1);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                schedule t ~fid:fiber.fid ~time:fiber.clock (fun () ->
-                    (ambient ()).amb_fiber <- Some fiber;
-                    continue k ()))
-          | _ -> None);
-    }
 
 (** [spawn t ~socket ?core f] registers a fiber pinned to [socket]/[core].
     If called from inside a running fiber, the child starts at the parent's
@@ -236,34 +248,69 @@ let run_under_handler t fiber f =
 let spawn t ~socket ?(core = 0) ?(at = -1) f =
   if socket < 0 || socket >= t.topology.Topology.sockets then
     invalid_arg "Sim.spawn: bad socket";
-  let start_time =
+  let clock =
     if at >= 0 then at
     else
       match (ambient ()).amb_fiber with
       | Some parent -> parent.clock
       | None -> 0
   in
-  let fiber =
-    {
-      fid = t.next_fid;
-      socket;
-      core;
-      frng = Rng.split t.rng;
-      clock = start_time;
-      slice = 0;
-      palloc = false;
-    }
+  let fid = t.next_fid and frng = Rng.split t.rng in
+  let rec fiber =
+    { fid; socket; core; frng; sim = t; current = Some fiber; clock;
+      palloc = false; k = no_k; wake = 0; seq = 0; ready = false }
   in
-  t.next_fid <- t.next_fid + 1;
-  t.live <- t.live + 1;
-  Hashtbl.replace t.fibers fiber.fid fiber;
+  if fid = Array.length t.fibers then begin
+    let bigger = Array.make (max 16 (2 * fid)) fiber in
+    Array.blit t.fibers 0 bigger 0 fid;
+    t.fibers <- bigger
+  end;
+  t.fibers.(fid) <- fiber;
+  t.next_fid <- fid + 1;
   Telemetry.Registry.incr t.fibers_spawned;
-  Telemetry.Registry.cur_name_track fiber.fid
-    (Printf.sprintf "fiber-%d (s%d.c%d)" fiber.fid socket core);
-  schedule t ~fid:fiber.fid ~time:start_time (fun () ->
-      (ambient ()).amb_fiber <- Some fiber;
-      run_under_handler t fiber f);
+  Telemetry.Registry.cur_name_track fid
+    (Printf.sprintf "fiber-%d (s%d.c%d)" fid socket core);
+  (* The one [Yield] handler of this fiber: it stores the continuation in
+     the record and queues the fiber, allocating nothing. The body starts
+     with a [Yield], so the fiber is queued here exactly as every later
+     yield queues it. *)
+  let on_yield =
+    Some
+      (fun k ->
+        fiber.k <- k;
+        schedule t fiber)
+  in
+  Effect.Deep.match_with
+    (fun () ->
+      Effect.perform Yield;
+      f ())
+    ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Yield -> on_yield | _ -> None);
+    };
   fiber
+
+(* the sorted fids of the runnable fibers (controlled dispatch) *)
+let ready_fids t =
+  let fids = Array.make t.n_ready 0 in
+  let j = ref 0 in
+  for fid = 0 to t.next_fid - 1 do
+    if t.fibers.(fid).ready then begin
+      fids.(!j) <- fid;
+      incr j
+    end
+  done;
+  fids
+
+let lowest_ready t =
+  let fid = ref 0 in
+  while not t.fibers.(!fid).ready do incr fid done;
+  !fid
 
 (** [run t ~until ()] dispatches fibers in simulated-time order. Returns
     [`Done] when every fiber has finished, or [`Cut t] when the next
@@ -285,43 +332,45 @@ let run ?(until = max_int) t () =
     amb.amb_sim <- saved_sim;
     amb.amb_fiber <- saved_fiber
   in
+  let resume f =
+    amb.amb_fiber <- f.current;
+    Effect.Deep.continue f.k ()
+  in
   let rec timed_loop () =
-    match heap_peek t with
-    | None -> `Done
-    | Some e when e.time > until -> `Cut e.time
-    | Some _ ->
-      let e = Option.get (heap_pop t) in
-      e.resume ();
+    if t.heap_len = 0 then `Done
+    else if t.heap.(0).wake > until then `Cut t.heap.(0).wake
+    else begin
+      resume (heap_pop t);
       timed_loop ()
+    end
   in
   (* Controlled dispatch: every runnable fiber is a candidate at every step;
      the chooser (the explorer) picks. It is called even with a single
      candidate — that call doubles as the explorer's per-step hook (state
      dedup, crash-frontier enumeration). [until] does not apply: there is
-     no global time order to cut. *)
-  let rec controlled_loop choose =
-    let n = Hashtbl.length t.runnable in
-    if n = 0 then `Done
+     no global time order to cut. A fiber may install the chooser mid-run,
+     so the dispatch is re-read at every step. *)
+  let rec controlled_loop () =
+    if t.n_ready = 0 then `Done
     else begin
-      let fids = Array.make n 0 in
-      let i = ref 0 in
-      Hashtbl.iter (fun fid _ -> fids.(!i) <- fid; incr i) t.runnable;
-      Array.sort compare fids;
-      let fid = choose fids in
-      let resume =
-        match Hashtbl.find_opt t.runnable fid with
-        | Some r -> r
-        | None -> failwith "Sim.run: chooser picked a non-runnable fid"
+      let fid =
+        match t.dispatch with
+        | Chooser choose -> choose (ready_fids t)
+        | Lowest_fid | Timed -> lowest_ready t
       in
-      Hashtbl.remove t.runnable fid;
-      resume ();
-      controlled_loop choose
+      if fid < 0 || fid >= t.next_fid || not t.fibers.(fid).ready then
+        failwith "Sim.run: chooser picked a non-runnable fid";
+      let f = t.fibers.(fid) in
+      f.ready <- false;
+      t.n_ready <- t.n_ready - 1;
+      resume f;
+      controlled_loop ()
     end
   in
   let loop () =
-    match t.chooser with
-    | Some choose -> controlled_loop choose
-    | None -> timed_loop ()
+    match t.dispatch with
+    | Timed -> timed_loop ()
+    | Lowest_fid | Chooser _ -> controlled_loop ()
   in
   (* An exception escaping a fiber (e.g. a crash hook firing mid-access)
      abandons the whole run, like a power failure; reset the globals so a
@@ -336,7 +385,8 @@ let now () = (self ()).clock
 
 let costs () = (instance ()).costs
 
-(** Charge [cost] ns to the running fiber.
+(** Charge [cost] ns to fiber [f], the running fiber ([self ()]): the form
+    for callers that already hold it, such as every memory operation.
 
     Causality rule: a fiber may keep executing only while it is the
     globally earliest runnable fiber. As soon as its clock passes another
@@ -344,30 +394,40 @@ let costs () = (instance ()).costs
     simulated-time order — which is what makes locks and CAS exclusion
     sound in simulated time (a fiber can never observe a "future" write
     of a logically-later fiber). *)
-let tick cost =
-  let f = self () in
+let charge f cost =
   f.clock <- f.clock + cost;
-  let t = instance () in
-  match t.chooser with
-  | Some _ ->
+  let t = f.sim in
+  match t.dispatch with
+  | Lowest_fid | Chooser _ ->
     (* Controlled mode: scheduling points live at operation *starts*
-       ([Nvm.Memory.op_point] yields there), so the whole operation —
-       charge plus effect — executes as one indivisible step once chosen.
-       Yielding here too would split an operation across two steps and
-       misattribute its memory footprint. *)
+       ([choice_point]), so the whole operation — charge plus effect —
+       executes as one indivisible step once chosen. Yielding here too
+       would split an operation across two steps and misattribute its
+       memory footprint. *)
     ()
-  | None ->
+  | Timed ->
     if t.preempt_prob > 0.0 && Rng.float t.rng < t.preempt_prob then begin
       f.clock <- f.clock + Rng.int t.rng t.quantum;
       Telemetry.Registry.incr t.preemptions;
       Effect.perform Yield
     end
-    else
-      match heap_peek t with
-      | Some e when e.time < f.clock ->
-        Telemetry.Registry.incr t.switches;
-        Effect.perform Yield
-      | Some _ | None -> ()
+    else if t.heap_len > 0 && t.heap.(0).wake < f.clock then begin
+      Telemetry.Registry.incr t.switches;
+      Effect.perform Yield
+    end
+
+(** Charge [cost] ns to the running fiber (see [charge]). *)
+let tick cost = charge (self ()) cost
+
+(** The scheduling point at the start of a memory operation, for fiber [f],
+    the running fiber: under an installed chooser every fiber-facing memory
+    operation is a choice point, taken *before* the operation has any
+    effect so the explorer observes a consistent between-operations state.
+    A no-op under timed dispatch and before the chooser is installed. *)
+let choice_point f =
+  match f.sim.dispatch with
+  | Chooser _ -> Effect.perform Yield
+  | Timed | Lowest_fid -> ()
 
 (** Force a scheduling point without advancing time. *)
 let yield () = Effect.perform Yield
@@ -376,7 +436,7 @@ let yield () = Effect.perform Yield
     scheduler a chance to run whoever we are waiting for. *)
 let spin () =
   let f = self () in
-  let s = instance () in
+  let s = f.sim in
   f.clock <- f.clock + s.costs.Costs.spin;
   Telemetry.Registry.incr s.spins;
   (match s.spin_hook with Some h -> h f.fid | None -> ());

@@ -108,7 +108,7 @@ let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
    (to force conflicts), recording a history; returns the history. *)
 let record_history ~seed ~workers ~ops_each ~make_exec =
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~sockets:2 ~bg_period:10_000 () in
+  let mem = Memory.make ~bg_period:10_000 () in
   let history = Check.History.create () in
   let done_count = ref 0 in
   ignore

@@ -147,7 +147,7 @@ let beta = topology.Sim.Topology.cores_per_socket
 let test_resolve_completed_after_quiescent_crash () =
   (* one client, three announced inserts, clean shutdown, power failure:
      recovery must replay everything and resolve must name the frontier *)
-  let mem = Memory.make ~bg_period:0 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:0 () in
   let sim = Sim.create ~seed:3L topology in
   let uc_ref = ref None in
   ignore
@@ -195,7 +195,7 @@ let test_resolve_consistent_after_midrun_crash () =
      thread's latest applied seqno, Lost a only if a never applied *)
   List.iter
     (fun seed ->
-      let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
+      let mem = Memory.make ~bg_period:2000 () in
       let sim = Sim.create ~seed ~preempt_prob:0.02 topology in
       let workers = 4 in
       let uc_ref = ref None in

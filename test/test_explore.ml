@@ -199,19 +199,25 @@ let test_pruning_reduction () =
     let g = Gc.quick_stat () in
     g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
   in
-  let before = allocated () in
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  let before = allocated () and minors_before = minors () in
   let pruned = explore ~scope (cfg Config.Buffered) in
-  let words = allocated () -. before in
+  let words = allocated () -. before and minor_gcs = minors () - minors_before in
   exhausted_clean "pruned one-op scope" pruned;
   let ps = pruned.Check.Explore.stats in
   (* one memory serves every schedule ([Memory.reset]), so a schedule
-     allocates what it touches (~37 k words here), not fresh 64 k-word
-     arenas *)
+     allocates what it touches (~11 k words here), not fresh 64 k-word
+     arenas, and nothing per schedule lands in the major heap directly
+     (a 1,024-slot trace array once forced a minor GC per schedule) *)
   let per_schedule = words /. float_of_int ps.Check.Explore.schedules in
   check_bool
-    (Printf.sprintf "allocated words per schedule (%.0f) under 100 k"
+    (Printf.sprintf "allocated words per schedule (%.0f) at most 25 k"
        per_schedule)
-    true (per_schedule < 100_000.);
+    true (per_schedule <= 25_000.);
+  check_bool
+    (Printf.sprintf "minor collections (%d) under schedules / 10 (%d)"
+       minor_gcs (ps.Check.Explore.schedules / 10))
+    true (minor_gcs < ps.Check.Explore.schedules / 10);
   (* Exact figures of this scope (the CLI's verify scope): refactors of
      the engine must leave exploration byte-identical, so any drift here
      is a behaviour change, not noise. *)

@@ -144,7 +144,7 @@ module H = Seqds.Hashmap
 
 let run_liveness ~mode ~socket1_readonly =
   let sim = Sim.create ~seed:77L small_topology in
-  let mem = Memory.make ~sockets:2 ~bg_period:10_000 () in
+  let mem = Memory.make ~bg_period:10_000 () in
   let finished = ref 0 in
   let workers = 8 in
   ignore
@@ -196,7 +196,7 @@ let recovery_roundtrip (type h)
     (module Ds : Seqds.Ds_intf.S with type handle = h) ~gen_op ~seed () =
   let module U = Prep.Prep_uc.Make (Ds) in
   let sim = Sim.create ~seed small_topology in
-  let mem = Memory.make ~sockets:2 ~bg_period:3000 () in
+  let mem = Memory.make ~bg_period:3000 () in
   let uc_ref = ref None in
   ignore
     (Sim.spawn sim ~socket:0 (fun () ->
@@ -296,7 +296,7 @@ let test_recovery_skiplist () =
 
 let test_flush_heap_strategy_recovers () =
   let sim = Sim.create ~seed:401L small_topology in
-  let mem = Memory.make ~sockets:2 ~bg_period:3000 () in
+  let mem = Memory.make ~bg_period:3000 () in
   let uc_ref = ref None in
   ignore
     (Sim.spawn sim ~socket:0 (fun () ->

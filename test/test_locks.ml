@@ -45,7 +45,7 @@ let test_rwlock_readers_share () =
    lose updates. *)
 let test_rwlock_writer_exclusion () =
   let sim = Sim.create ~seed:3L topology in
-  let mem = Memory.make ~bg_period:0 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:0 () in
   let aid = Memory.new_arena mem ~kind:Memory.Dram ~home:0 in
   let lock_addr = Memory.addr_of ~aid ~offset:8 in
   let counter = Memory.addr_of ~aid ~offset:16 in
@@ -74,7 +74,7 @@ let test_rwlock_writer_exclusion () =
 (* Readers must never observe a writer's half-done update. *)
 let test_rwlock_readers_see_consistent_pairs () =
   let sim = Sim.create ~seed:5L topology in
-  let mem = Memory.make ~bg_period:0 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:0 () in
   let aid = Memory.new_arena mem ~kind:Memory.Dram ~home:0 in
   let lock_addr = Memory.addr_of ~aid ~offset:8 in
   let x = Memory.addr_of ~aid ~offset:16 in
@@ -115,7 +115,7 @@ let test_rwlock_readers_see_consistent_pairs () =
    a time, everyone eventually becomes one. *)
 let test_trylock_combiner_pattern () =
   let sim = Sim.create ~seed:8L topology in
-  let mem = Memory.make ~bg_period:0 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:0 () in
   let aid = Memory.new_arena mem ~kind:Memory.Dram ~home:0 in
   let l = ref None in
   ignore (Sim.spawn sim ~socket:0 (fun () ->
@@ -185,7 +185,7 @@ let make_dist_lock mem ~ncores =
 (* Property: under randomized preemption, writers exclude both readers and
    other writers, readers never see a torn write, and no update is lost. *)
 let prop_dist_exclusion seed =
-  let mem = Memory.make ~bg_period:0 ~sockets:1 () in
+  let mem = Memory.make ~bg_period:0 () in
   let l = make_dist_lock mem ~ncores:8 in
   let aid = Memory.new_arena mem ~kind:Memory.Dram ~home:0 in
   let x = Memory.addr_of ~aid ~offset:16 in
@@ -241,7 +241,7 @@ let prop_dist_exclusion seed =
    writer's sweep forever. Also checks the acquisition counters are exact:
    every read_acquire accounts for exactly one successful flag-raise. *)
 let prop_dist_no_lost_flags seed =
-  let mem = Memory.make ~bg_period:0 ~sockets:1 () in
+  let mem = Memory.make ~bg_period:0 () in
   let l = make_dist_lock mem ~ncores:8 in
   let sim =
     Sim.create ~seed:(Int64.of_int (seed + 1)) ~preempt_prob:0.08 dist_topology

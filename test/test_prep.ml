@@ -17,7 +17,7 @@ let ins k v = (H.op_insert, [| k; v |])
 let with_world ?(seed = 1L) ?(bg_period = 0)
     ?(topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }) body =
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~bg_period ~sockets:topology.Sim.Topology.sockets () in
+  let mem = Memory.make ~bg_period () in
   let result = ref None in
   ignore (Sim.spawn sim ~socket:0 (fun () ->
       let roots = Roots.make mem in
@@ -141,7 +141,7 @@ let crash_and_recover ~mode ~seed ~crash_at ~workers ~epsilon ~log_size
     ?(log_mirror = false) ?(slot_bitmap = false) () =
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed topology in
-  let mem = Memory.make ~bg_period ~sockets:2 () in
+  let mem = Memory.make ~bg_period () in
   let uc_ref = ref None in
   ignore (Sim.spawn sim ~socket:0 (fun () ->
       let roots = Roots.make mem in
@@ -355,7 +355,7 @@ let test_durable_numa_crash_no_completed_loss () =
 let test_readonly_spin_helps () =
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed:91L topology in
-  let mem = Memory.make ~bg_period:0 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:0 () in
   let reader_done = ref false in
   ignore (Sim.spawn sim ~socket:0 (fun () ->
       let roots = Roots.make mem in
@@ -575,7 +575,7 @@ let test_cx_concurrent () =
 let test_cx_crash_recovery () =
   let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 } in
   let sim = Sim.create ~seed:55L topology in
-  let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:2000 () in
   let cx_ref = ref None in
   ignore (Sim.spawn sim ~socket:0 (fun () ->
       let roots = Roots.make mem in
@@ -638,7 +638,7 @@ let test_soft_durability () =
   (* every completed insert must survive a crash *)
   let topology = Sim.Topology.default in
   let sim = Sim.create ~seed:66L topology in
-  let mem = Memory.make ~bg_period:2000 ~sockets:2 () in
+  let mem = Memory.make ~bg_period:2000 () in
   let s_ref = ref None in
   let completed = Hashtbl.create 256 in
   ignore (Sim.spawn sim ~socket:0 (fun () ->

@@ -24,7 +24,7 @@ let topology = Sim.Topology.{ sockets = 2; cores_per_socket = 4 }
    [workers] workers; return the merged final snapshot. *)
 let run_sharded ?(fault = Config.No_fault) ~nshards ~workers ops =
   let sim = Sim.create ~seed:11L topology in
-  let mem = Nvm.Memory.make ~seed:12L ~sockets:2 () in
+  let mem = Nvm.Memory.make ~seed:12L () in
   let snap = ref [] in
   let uc_out = ref None in
   ignore
@@ -129,7 +129,7 @@ let test_decision_table_chunks () =
   (* capacity spanning several chunks: slots land in the right chunk and
      survive a crash *)
   let sim = Sim.create ~seed:5L topology in
-  let mem = Nvm.Memory.make ~seed:6L ~sockets:2 () in
+  let mem = Nvm.Memory.make ~seed:6L () in
   ignore
     (Sim.spawn sim ~socket:0 (fun () ->
          let roots = Nvm.Roots.make mem in
